@@ -1,8 +1,8 @@
 """Serve-farm benchmark: resident scalar serving + shard scaling.
 
 Run as a script to emit a machine-readable JSON record (the acceptance
-gates are resident scalar serving >= 10x the marshalled native path, and
-the 2-shard farm's aggregate capacity scaling over 1 shard > 1):
+gate is the 2-shard farm's aggregate capacity scaling over 1 shard > 1;
+the scalar part records resident native vs. flat serving):
 
     PYTHONPATH=src python benchmarks/bench_servefarm.py \
         --output benchmarks/results/BENCH_servefarm.json

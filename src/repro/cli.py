@@ -19,8 +19,8 @@ Subcommands:
 * ``bench-pipeline`` — end-to-end ``run_all`` time per engine
 * ``bench-optimal`` — optimal-tree DP subsystem vs. the legacy forward
   pass, plus the result-cache cold/warm trajectory
-* ``bench-servefarm`` — resident vs. marshalled vs. flat scalar serving,
-  plus serve-farm shard scaling (aggregate req/s, p50/p99 latency)
+* ``bench-servefarm`` — resident native vs. flat scalar serving, plus
+  serve-farm shard scaling (aggregate req/s, p50/p99 latency)
 * ``serve`` — run the async socket ingress gateway in front of a serve
   farm (``--shards N --port P``; SIGTERM drains gracefully)
 * ``bench-ingress`` — socket-path throughput/latency vs. the direct
@@ -773,7 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument(
         "--engine", choices=("object", "flat", "native"), default=None,
         help="tree-engine backend for the self-adjusting cells"
-             " (default: flat, the fast one; totals are engine-independent)",
+             " (default: native, degrading to flat without the kernel;"
+             " totals are engine-independent)",
     )
     rep.add_argument(
         "--verify", action="store_true",
@@ -941,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="interleaved timing repeats (best kept)",
     )
     benchs.add_argument(
-        "--modes", nargs="+", choices=("resident", "marshalled", "flat"),
+        "--modes", nargs="+", choices=("resident", "flat"),
         default=None,
         help="scalar mode subset (default: every mode measurable here)",
     )

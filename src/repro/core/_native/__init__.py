@@ -54,8 +54,8 @@ MAX_NATIVE_K = 40
 
 #: Expected ``repro_kernel_abi()`` value; stale cached shared objects that
 #: report a different version are rebuilt.  Version 2 added the
-#: resident-tree handle API.
-_ABI_VERSION = 2
+#: resident-tree handle API; version 3 removed the stateless batch entry.
+_ABI_VERSION = 3
 
 _COMPILERS = ("cc", "gcc", "clang")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-fvisibility=default")
@@ -140,28 +140,6 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         raise RuntimeError(
             f"kernel ABI mismatch: compiled {abi}, expected {_ABI_VERSION}"
         )
-    fn = lib.repro_serve_batch
-    fn.restype = ctypes.c_int64
-    fn.argtypes = (
-        ctypes.c_int64,  # n
-        ctypes.c_int64,  # k
-        ctypes.c_void_p,  # root_io
-        ctypes.c_void_p,  # parent
-        ctypes.c_void_p,  # pslot
-        ctypes.c_void_p,  # children
-        ctypes.c_void_p,  # routing
-        ctypes.c_void_p,  # visit
-        ctypes.c_void_p,  # vdepth
-        ctypes.c_void_p,  # epoch_io
-        ctypes.c_void_p,  # sources
-        ctypes.c_void_p,  # targets
-        ctypes.c_int64,  # m
-        ctypes.c_int64,  # policy
-        ctypes.c_void_p,  # routing_series (nullable)
-        ctypes.c_void_p,  # rotation_series (nullable)
-        ctypes.c_void_p,  # totals
-    )
-    # -- resident-tree handle API (ABI v2) ---------------------------------
     fn = lib.repro_tree_create
     fn.restype = ctypes.c_void_p
     fn.argtypes = (ctypes.c_int64, ctypes.c_int64)  # n, k

@@ -1,12 +1,13 @@
 /* Native serve kernel for the k-ary SplayNet hot loop.
  *
- * This file is a statement-for-statement translation of the inlined batch
- * serve loop of ``repro.core.flat.FlatTree.serve_many`` (the depth-2
- * k-splay discipline): the epoch-stamped LCA walk, the k-semi-splay and
- * k-splay rotation groups with arithmetic subtree placement, and the
- * routing/rotation/link cost accounting.  It operates on the same flat
- * identifier-indexed layout the Python engine owns, marshalled into
- * contiguous buffers by ``repro.core.native.NativeTree``:
+ * This file is a statement-for-statement translation of the depth-2
+ * k-splay serve path of ``repro.core.flat.FlatTree`` (``serve_one`` ->
+ * ``lca`` + ``splay_until`` -> ``semi_splay_fast`` / ``splay_fast``):
+ * the epoch-stamped LCA walk, the k-semi-splay and k-splay rotation
+ * groups with arithmetic subtree placement, and the routing/rotation/link
+ * cost accounting.  It operates on the same flat identifier-indexed
+ * layout the Python engine owns, loaded into kernel-owned buffers by
+ * ``repro.core.native.NativeTree``:
  *
  *   parent[nid], pslot[nid]          int64, length n + 1 (0 = null)
  *   children[nid * k + slot]         int64, 0 = empty slot
@@ -36,8 +37,8 @@
  * Python loader refuses stale cached shared objects that report a
  * different version.  Version 2 added the resident-tree handle API
  * (repro_tree_create / load / serve_batch / serve_one / sync_out /
- * destroy). */
-#define RK_ABI_VERSION 2
+ * destroy); version 3 removed the stateless batch entry. */
+#define RK_ABI_VERSION 3
 
 int64_t repro_kernel_abi(void) { return RK_ABI_VERSION; }
 
@@ -77,7 +78,7 @@ static int64_t rk_count_less(const double *a, int64_t len, double v)
 }
 
 /* k-semi-splay: promote y above its parent x (g = x's parent, may be 0).
- * Mirror of the inline semi body in FlatTree.serve_many.  Returns g. */
+ * Mirror of FlatTree.semi_splay_fast.  Returns g. */
 static int64_t rk_semi(rk_ctx *c, int64_t y, int64_t x, int64_t g)
 {
     const int64_t k = c->k, km1 = c->km1;
@@ -210,7 +211,7 @@ static int64_t rk_semi(rk_ctx *c, int64_t y, int64_t x, int64_t g)
 }
 
 /* k-splay: promote z above parent y and grandparent x (both rotation
- * cases).  Mirror of the inline splay body in FlatTree.serve_many.
+ * cases).  Mirror of FlatTree.splay_fast.
  * Returns x's old parent (the climb continues from there). */
 static int64_t rk_splay(rk_ctx *c, int64_t z, int64_t y, int64_t x)
 {
@@ -737,8 +738,8 @@ static int64_t rk_splay(rk_ctx *c, int64_t z, int64_t y, int64_t x)
     return grand;
 }
 
-/* The per-request serve loop shared by the marshalled batch entry and
- * the resident-tree handle API.  ``c`` must be fully initialized (arity,
+/* The per-request serve loop behind the resident-tree handle API
+ * (mirror of FlatTree.serve_one).  ``c`` must be fully initialized (arity,
  * policy flags, buffers, root); epoch_io is a one-element in/out buffer;
  * totals is a three-element out buffer (routing, rotations, links);
  * routing_series / rotation_series are optional length-m out buffers
@@ -860,36 +861,6 @@ static int rk_ctx_init(rk_ctx *c, int64_t k, int64_t policy, int64_t *parent,
     return 1;
 }
 
-/* Serve a whole request batch over caller-owned flat arrays (the
- * marshalled entry used before the handle API existed; kept for the
- * marshalled-vs-resident benchmark and as a stateless escape hatch).
- *
- * Mirrors FlatTree.serve_many (depth == 2 discipline).  root_io and
- * epoch_io are one-element in/out buffers; totals is a three-element out
- * buffer (routing, rotations, links); routing_series / rotation_series
- * are optional length-m out buffers (both NULL or both set).
- *
- * Returns 0 on success, 1 when the arity is outside the supported range
- * (the caller then falls back to the Python engine). */
-int64_t repro_serve_batch(int64_t n, int64_t k, int64_t *root_io,
-                          int64_t *parent, int64_t *pslot, int64_t *children,
-                          double *routing, int64_t *visit, int64_t *vdepth,
-                          int64_t *epoch_io, const int64_t *sources,
-                          const int64_t *targets, int64_t m, int64_t policy,
-                          int64_t *routing_series, int64_t *rotation_series,
-                          int64_t *totals)
-{
-    (void)n;
-    rk_ctx c;
-    if (!rk_ctx_init(&c, k, policy, parent, pslot, children, routing,
-                     *root_io))
-        return 1;
-    rk_serve_requests(&c, visit, vdepth, epoch_io, sources, targets, m,
-                      routing_series, rotation_series, totals);
-    *root_io = c.root;
-    return 0;
-}
-
 /* ====================================================================
  * Resident-tree handle API (ABI v2).
  *
@@ -938,7 +909,7 @@ void *repro_tree_create(int64_t n, int64_t k)
     return t;
 }
 
-/* Copy a marshalled flat state into the resident buffers.  The epoch
+/* Copy a packed flat state into the resident buffers.  The epoch
  * counter is *not* reset: stale visit stamps can then never collide with
  * a fresh walk. */
 void repro_tree_load(void *handle, int64_t root, const int64_t *parent,
@@ -972,8 +943,11 @@ int64_t repro_tree_root(void *handle)
     return ((rk_tree *)handle)->root;
 }
 
-/* Serve a request batch against the resident buffers; same contract as
- * repro_serve_batch minus the marshalling. */
+/* Serve a request batch against the resident buffers.  policy is 0/1/2
+ * for center/left/right; totals is a three-element out buffer (routing,
+ * rotations, links); routing_series / rotation_series are optional
+ * length-m out buffers (both NULL or both set).  Returns 0 on success, 1
+ * when the arity is outside the supported range. */
 int64_t repro_tree_serve_batch(void *handle, const int64_t *sources,
                                const int64_t *targets, int64_t m,
                                int64_t policy, int64_t *routing_series,

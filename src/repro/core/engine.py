@@ -223,14 +223,15 @@ def accumulate_serve_totals(
     """Accumulate a scalar serving callable over a request batch.
 
     ``serve_totals(u, v)`` must return ``(routing, rotations, links)``
-    tuples; the optional series buffers are filled per request.  This is
-    the shared fallback loop behind every network's ``serve_trace`` when
-    no fully-inlined batch path applies.
+    tuples; the optional series buffers are filled per request, and the
+    batch ends with the shorter of ``sources`` / ``targets`` (``zip``
+    semantics).  This is the batch loop behind every ``serve_trace``
+    that has no vectorized or compiled batch path of its own.
     """
     total_r = total_rot = total_l = 0
     if routing_series is not None:
-        for i in range(len(sources)):
-            r, ro, l = serve_totals(sources[i], targets[i])
+        for i, (u, v) in enumerate(zip(sources, targets)):
+            r, ro, l = serve_totals(u, v)
             total_r += r
             total_rot += ro
             total_l += l

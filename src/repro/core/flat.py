@@ -1,11 +1,13 @@
 """Flat structure-of-arrays engine for k-ary search tree networks.
 
-This module is the performance backend behind ``engine="flat"``: the entire
-tree lives in preallocated identifier-indexed arrays, and the paper's
-rotations (``k-semi-splay``, ``k-splay``, the generalized d-node rotation)
-plus LCA/distance/serve are reimplemented as index arithmetic over those
-arrays.  Layout for a tree over identifiers ``1..n`` with arity ``k``
-(index 0 is the null sentinel everywhere):
+This module is the pure-Python array engine behind ``engine="flat"``: the
+readable mirror of the C kernel in :mod:`repro.core._native` (which
+operates on the same layout) and the fallback wherever that kernel cannot
+be built.  The entire tree lives in preallocated identifier-indexed arrays,
+and the paper's rotations (``k-semi-splay``, ``k-splay``, the generalized
+d-node rotation) plus LCA/distance/serve are reimplemented as index
+arithmetic over those arrays.  Layout for a tree over identifiers
+``1..n`` with arity ``k`` (index 0 is the null sentinel everywhere):
 
 * ``parent[nid]``  — parent identifier (0 for the root),
 * ``pslot[nid]``   — slot occupied in the parent (-1 for the root),
@@ -48,7 +50,6 @@ randomized traces.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Optional
 
 from repro.core.engine import accumulate_serve_totals
 from repro.core.keyspace import NEG_INF, POS_INF
@@ -935,8 +936,8 @@ class FlatTree:
 
     def serve_many(
         self,
-        sources: list[int],
-        targets: list[int],
+        sources,
+        targets,
         *,
         policy: str = "center",
         depth: int = 2,
@@ -945,15 +946,13 @@ class FlatTree:
     ) -> tuple[int, int, int]:
         """Serve a whole request batch; returns scalar cost totals.
 
-        This is the hot loop of the flat engine: the LCA walk, both splay
-        phases *and the two rotation bodies themselves* are inlined over one
-        shared set of local array references, so serving a request performs
-        no Python function calls and allocates no per-request objects.  The
-        inlined rotations are verbatim copies of :meth:`semi_splay_fast` /
-        :meth:`splay_fast` (the equivalence suite exercises both paths
-        against the object engine).  ``routing_series`` /
-        ``rotation_series`` are optional preallocated buffers (NumPy arrays
-        or lists) filled per request when provided.
+        A loop over :meth:`serve_one`, with ``zip`` semantics over the two
+        request sequences.  They may be int lists or NumPy int64 arrays
+        (the native engine's fallback passes arrays); arrays are converted
+        to Python ints once up front, so the tree arrays never hold NumPy
+        scalars.  ``routing_series`` / ``rotation_series`` are optional
+        preallocated buffers (NumPy arrays or lists) filled per request
+        when provided.
         """
         if policy not in BLOCK_POLICIES:
             raise RotationError(
@@ -963,660 +962,18 @@ class FlatTree:
             raise EngineError(
                 "routing_series and rotation_series must be provided together"
             )
-        if depth != 2:
-            # The deep-splay discipline is dominated by the assignment
-            # search; the per-request delegation overhead is immaterial.
-            return accumulate_serve_totals(
-                lambda u, v: self.serve_one(u, v, policy, depth),
-                sources,
-                targets,
-                routing_series,
-                rotation_series,
-            )
-
-        self._ranges_dirty = True
-        parent, pslot = self.parent, self.pslot
-        child_rows, routing_rows = self.child_rows, self.routing_rows
-        visit, vdepth = self._visit, self._vdepth
-        epoch = self._epoch
-        k = self.k
-        km1 = k - 1
-        km2 = 2 * km1
-        half = km1 // 2
-        pol_center = policy == "center"
-        pol_left = policy == "left"
-        total_r = 0
-        total_rot = 0
-        total_l = 0
-        record = routing_series is not None
-        i = -1
-        try:
-            for u, v in zip(sources, targets):
-                i += 1
-                if u == v:
-                    if record:
-                        routing_series[i] = 0
-                        rotation_series[i] = 0
-                    continue
-                if parent[u] == v or parent[v] == u:
-                    # Already adjacent: cost 1, and both splay phases are
-                    # no-ops (exactly what the full discipline would do).
-                    total_r += 1
-                    if record:
-                        routing_series[i] = 1
-                        rotation_series[i] = 0
-                    continue
-                # --- LCA by stamping u's ancestor chain ----------------
-                epoch += 1
-                node = u
-                d = 0
-                while node:
-                    visit[node] = epoch
-                    vdepth[node] = d
-                    node = parent[node]
-                    d += 1
-                node = v
-                dv = 0
-                while visit[node] != epoch:
-                    node = parent[node]
-                    dv += 1
-                total_r += vdepth[node] + dv
-                rot = 0
-                lk = 0
-                # --- splay u into the LCA's position, then v below u ---
-                if node == v:
-                    climb = u
-                    stop = v
-                    final = True
-                elif node == u:
-                    climb = v
-                    stop = u
-                    final = True
-                else:
-                    climb = u
-                    stop = parent[node]
-                    final = False
-                while True:
-                    p = parent[climb]
-                    while p != stop:
-                        g = parent[p]
-                        rot += 1
-                        if g == stop or g == 0:
-                            # ==== inline semi_splay_fast(climb) ========
-                            # (x := p promoted below y := climb)
-                            y = climb
-                            x = p
-                            gslot = pslot[x]
-                            sy = pslot[y]
-                            merged = [*routing_rows[x], *routing_rows[y]]
-                            merged.sort()
-                            xrow = child_rows[x]
-                            yrow = child_rows[y]
-                            nxrow = [0] * k
-                            nyrow = [0] * k
-                            child_rows[x] = nxrow
-                            child_rows[y] = nyrow
-                            pos_x = bisect_left(merged, x)
-                            if pol_center:
-                                j = pos_x - half
-                            elif pol_left:
-                                j = pos_x - km1
-                            else:
-                                j = pos_x
-                            lo = pos_x - km1
-                            if lo < 0:
-                                lo = 0
-                            hi = km1 if km1 < pos_x else pos_x
-                            if j < lo:
-                                j = lo
-                            elif j > hi:
-                                j = hi
-                            jhi = j + km1
-                            routing_rows[x] = merged[j:jhi]
-                            routing_rows[y] = merged[:j] + merged[jhi:]
-                            nyrow[j] = x
-                            parent[x] = y
-                            pslot[x] = j
-                            if g:
-                                lk += 2
-                            # x's subtree below slot sy keeps merged index s, past
-                            # it s + km1 (slot sy held y); y's subtree at slot t
-                            # has merged index sy + t.  Placement is an ordered
-                            # comparison ladder over the merged index.
-                            for m in range(sy):
-                                c = xrow[m]
-                                if not c:
-                                    continue
-                                if m < j:
-                                    nyrow[m] = c
-                                    parent[c] = y
-                                    pslot[c] = m
-                                    lk += 2
-                                elif m <= jhi:
-                                    slot = m - j
-                                    nxrow[slot] = c
-                                    parent[c] = x
-                                    pslot[c] = slot
-                                else:
-                                    slot = m - km1
-                                    nyrow[slot] = c
-                                    parent[c] = y
-                                    pslot[c] = slot
-                                    lk += 2
-                            for s in range(sy + 1, k):
-                                c = xrow[s]
-                                if not c:
-                                    continue
-                                m = s + km1
-                                if m < j:
-                                    nyrow[m] = c
-                                    parent[c] = y
-                                    pslot[c] = m
-                                    lk += 2
-                                elif m <= jhi:
-                                    slot = m - j
-                                    nxrow[slot] = c
-                                    parent[c] = x
-                                    pslot[c] = slot
-                                else:
-                                    slot = m - km1
-                                    nyrow[slot] = c
-                                    parent[c] = y
-                                    pslot[c] = slot
-                                    lk += 2
-                            for t in range(k):
-                                c = yrow[t]
-                                if not c:
-                                    continue
-                                m = sy + t
-                                if m < j:
-                                    nyrow[m] = c
-                                    parent[c] = y
-                                    pslot[c] = m
-                                elif m <= jhi:
-                                    slot = m - j
-                                    nxrow[slot] = c
-                                    parent[c] = x
-                                    pslot[c] = slot
-                                    lk += 2
-                                else:
-                                    slot = m - km1
-                                    nyrow[slot] = c
-                                    parent[c] = y
-                                    pslot[c] = slot
-                            if g:
-                                child_rows[g][gslot] = y
-                                parent[y] = g
-                                pslot[y] = gslot
-                            else:
-                                parent[y] = 0
-                                pslot[y] = -1
-                                self.root = y
-                            p = g
-                            # ==== end inline semi ======================
-                        else:
-                            # ==== inline splay_fast(climb) =============
-                            # (x := g, y := p promoted below z := climb)
-                            z = climb
-                            y = p
-                            x = g
-                            grand = parent[x]
-                            gslot = pslot[x]
-                            sy = pslot[y]
-                            sz = pslot[z]
-                            merged = [
-                                *routing_rows[x],
-                                *routing_rows[y],
-                                *routing_rows[z],
-                            ]
-                            merged.sort()
-                            xrow = child_rows[x]
-                            yrow = child_rows[y]
-                            zrow = child_rows[z]
-                            pos_x = bisect_left(merged, x)
-                            pos_y = bisect_left(merged, y)
-                            nxrow = [0] * k
-                            nyrow = [0] * k
-                            nzrow = [0] * k
-                            child_rows[x] = nxrow
-                            child_rows[y] = nyrow
-                            child_rows[z] = nzrow
-                            diff = pos_x - pos_y
-                            if diff > km1 or -diff > km1:
-                                # ---- Case 1: x and y become children of z.
-                                if diff < 0:
-                                    lo_node, pos_lo, hi_node, pos_hi = x, pos_x, y, pos_y
-                                    lo_nrow, hi_nrow = nxrow, nyrow
-                                    x_lo_flip, x_hi_flip = 0, 2
-                                    y_lo_flip, y_hi_flip = 2, 0
-                                else:
-                                    lo_node, pos_lo, hi_node, pos_hi = y, pos_y, x, pos_x
-                                    lo_nrow, hi_nrow = nyrow, nxrow
-                                    x_lo_flip, x_hi_flip = 2, 0
-                                    y_lo_flip, y_hi_flip = 0, 2
-                                j_lo = pos_lo - km1
-                                if j_lo < 0:
-                                    j_lo = 0
-                                j_hi = km2
-                                if pos_hi < j_hi:
-                                    j_hi = pos_hi
-                                j_lo_hi = j_lo + km1
-                                j_hi_hi = j_hi + km1
-                                routing_rows[lo_node] = merged[j_lo:j_lo_hi]
-                                routing_rows[hi_node] = merged[j_hi:j_hi_hi]
-                                routing_rows[z] = (
-                                    merged[:j_lo]
-                                    + merged[j_lo_hi:j_hi]
-                                    + merged[j_hi_hi:]
-                                )
-                                nzrow[j_lo] = lo_node
-                                parent[lo_node] = z
-                                pslot[lo_node] = j_lo
-                                nzrow[j_hi - km1] = hi_node
-                                parent[hi_node] = z
-                                pslot[hi_node] = j_hi - km1
-                                lk += 2
-                                for m in range(sy):
-                                    c = xrow[m]
-                                    if not c:
-                                        continue
-                                    if m < j_lo:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    elif m <= j_lo_hi:
-                                        slot = m - j_lo
-                                        lo_nrow[slot] = c
-                                        parent[c] = lo_node
-                                        pslot[c] = slot
-                                        lk += x_lo_flip
-                                    elif m < j_hi:
-                                        slot = m - km1
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                    elif m <= j_hi_hi:
-                                        slot = m - j_hi
-                                        hi_nrow[slot] = c
-                                        parent[c] = hi_node
-                                        pslot[c] = slot
-                                        lk += x_hi_flip
-                                    else:
-                                        slot = m - km2
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                for s in range(sy + 1, k):
-                                    c = xrow[s]
-                                    if not c:
-                                        continue
-                                    m = s + km2
-                                    if m < j_lo:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    elif m <= j_lo_hi:
-                                        slot = m - j_lo
-                                        lo_nrow[slot] = c
-                                        parent[c] = lo_node
-                                        pslot[c] = slot
-                                        lk += x_lo_flip
-                                    elif m < j_hi:
-                                        slot = m - km1
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                    elif m <= j_hi_hi:
-                                        slot = m - j_hi
-                                        hi_nrow[slot] = c
-                                        parent[c] = hi_node
-                                        pslot[c] = slot
-                                        lk += x_hi_flip
-                                    else:
-                                        slot = m - km2
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                for t in range(sz):
-                                    c = yrow[t]
-                                    if not c:
-                                        continue
-                                    m = sy + t
-                                    if m < j_lo:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    elif m <= j_lo_hi:
-                                        slot = m - j_lo
-                                        lo_nrow[slot] = c
-                                        parent[c] = lo_node
-                                        pslot[c] = slot
-                                        lk += y_lo_flip
-                                    elif m < j_hi:
-                                        slot = m - km1
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                    elif m <= j_hi_hi:
-                                        slot = m - j_hi
-                                        hi_nrow[slot] = c
-                                        parent[c] = hi_node
-                                        pslot[c] = slot
-                                        lk += y_hi_flip
-                                    else:
-                                        slot = m - km2
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                for t in range(sz + 1, k):
-                                    c = yrow[t]
-                                    if not c:
-                                        continue
-                                    m = sy + t + km1
-                                    if m < j_lo:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    elif m <= j_lo_hi:
-                                        slot = m - j_lo
-                                        lo_nrow[slot] = c
-                                        parent[c] = lo_node
-                                        pslot[c] = slot
-                                        lk += y_lo_flip
-                                    elif m < j_hi:
-                                        slot = m - km1
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                    elif m <= j_hi_hi:
-                                        slot = m - j_hi
-                                        hi_nrow[slot] = c
-                                        parent[c] = hi_node
-                                        pslot[c] = slot
-                                        lk += y_hi_flip
-                                    else:
-                                        slot = m - km2
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                base = sy + sz
-                                for r in range(k):
-                                    c = zrow[r]
-                                    if not c:
-                                        continue
-                                    m = base + r
-                                    if m < j_lo:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                    elif m <= j_lo_hi:
-                                        slot = m - j_lo
-                                        lo_nrow[slot] = c
-                                        parent[c] = lo_node
-                                        pslot[c] = slot
-                                        lk += 2
-                                    elif m < j_hi:
-                                        slot = m - km1
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                    elif m <= j_hi_hi:
-                                        slot = m - j_hi
-                                        hi_nrow[slot] = c
-                                        parent[c] = hi_node
-                                        pslot[c] = slot
-                                        lk += 2
-                                    else:
-                                        slot = m - km2
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                            else:
-                                # ---- Case 2: chain reversed to z -> y -> x.
-                                if diff < 0:
-                                    lo_pos, hi_pos = pos_x, pos_y
-                                else:
-                                    lo_pos, hi_pos = pos_y, pos_x
-                                j2 = hi_pos - km2 + (km2 - (hi_pos - lo_pos)) // 2
-                                j2_lo = hi_pos - km2
-                                if j2_lo < 0:
-                                    j2_lo = 0
-                                j2_hi = km1 if km1 < lo_pos else lo_pos
-                                if j2 < j2_lo:
-                                    j2 = j2_lo
-                                elif j2 > j2_hi:
-                                    j2 = j2_hi
-                                j2hi = j2 + km2
-                                routing_rows[z] = merged[:j2] + merged[j2hi:]
-                                pos_x2 = pos_x - j2
-                                if pol_center:
-                                    j1 = pos_x2 - half
-                                elif pol_left:
-                                    j1 = pos_x2 - km1
-                                else:
-                                    j1 = pos_x2
-                                lo = pos_x2 - km1
-                                if lo < 0:
-                                    lo = 0
-                                hi = km1 if km1 < pos_x2 else pos_x2
-                                if j1 < lo:
-                                    j1 = lo
-                                elif j1 > hi:
-                                    j1 = hi
-                                j1hi = j1 + km1
-                                a1 = j2 + j1
-                                a2 = a1 + km1
-                                routing_rows[x] = merged[a1:a2]
-                                routing_rows[y] = merged[j2:a1] + merged[a2:j2hi]
-                                nzrow[j2] = y
-                                parent[y] = z
-                                pslot[y] = j2
-                                nyrow[j1] = x
-                                parent[x] = y
-                                pslot[x] = j1
-                                for m in range(sy):
-                                    c = xrow[m]
-                                    if not c:
-                                        continue
-                                    if m < j2:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    else:
-                                        m2 = m - j2
-                                        if m2 > km2:
-                                            slot = m - km2
-                                            nzrow[slot] = c
-                                            parent[c] = z
-                                            pslot[c] = slot
-                                            lk += 2
-                                        elif m2 < j1:
-                                            nyrow[m2] = c
-                                            parent[c] = y
-                                            pslot[c] = m2
-                                            lk += 2
-                                        elif m2 <= j1hi:
-                                            slot = m2 - j1
-                                            nxrow[slot] = c
-                                            parent[c] = x
-                                            pslot[c] = slot
-                                        else:
-                                            slot = m2 - km1
-                                            nyrow[slot] = c
-                                            parent[c] = y
-                                            pslot[c] = slot
-                                            lk += 2
-                                for s in range(sy + 1, k):
-                                    c = xrow[s]
-                                    if not c:
-                                        continue
-                                    m = s + km2
-                                    if m < j2:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    else:
-                                        m2 = m - j2
-                                        if m2 > km2:
-                                            slot = m - km2
-                                            nzrow[slot] = c
-                                            parent[c] = z
-                                            pslot[c] = slot
-                                            lk += 2
-                                        elif m2 < j1:
-                                            nyrow[m2] = c
-                                            parent[c] = y
-                                            pslot[c] = m2
-                                            lk += 2
-                                        elif m2 <= j1hi:
-                                            slot = m2 - j1
-                                            nxrow[slot] = c
-                                            parent[c] = x
-                                            pslot[c] = slot
-                                        else:
-                                            slot = m2 - km1
-                                            nyrow[slot] = c
-                                            parent[c] = y
-                                            pslot[c] = slot
-                                            lk += 2
-                                for t in range(sz):
-                                    c = yrow[t]
-                                    if not c:
-                                        continue
-                                    m = sy + t
-                                    if m < j2:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    else:
-                                        m2 = m - j2
-                                        if m2 > km2:
-                                            slot = m - km2
-                                            nzrow[slot] = c
-                                            parent[c] = z
-                                            pslot[c] = slot
-                                            lk += 2
-                                        elif m2 < j1:
-                                            nyrow[m2] = c
-                                            parent[c] = y
-                                            pslot[c] = m2
-                                        elif m2 <= j1hi:
-                                            slot = m2 - j1
-                                            nxrow[slot] = c
-                                            parent[c] = x
-                                            pslot[c] = slot
-                                            lk += 2
-                                        else:
-                                            slot = m2 - km1
-                                            nyrow[slot] = c
-                                            parent[c] = y
-                                            pslot[c] = slot
-                                for t in range(sz + 1, k):
-                                    c = yrow[t]
-                                    if not c:
-                                        continue
-                                    m = sy + t + km1
-                                    if m < j2:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    else:
-                                        m2 = m - j2
-                                        if m2 > km2:
-                                            slot = m - km2
-                                            nzrow[slot] = c
-                                            parent[c] = z
-                                            pslot[c] = slot
-                                            lk += 2
-                                        elif m2 < j1:
-                                            nyrow[m2] = c
-                                            parent[c] = y
-                                            pslot[c] = m2
-                                        elif m2 <= j1hi:
-                                            slot = m2 - j1
-                                            nxrow[slot] = c
-                                            parent[c] = x
-                                            pslot[c] = slot
-                                            lk += 2
-                                        else:
-                                            slot = m2 - km1
-                                            nyrow[slot] = c
-                                            parent[c] = y
-                                            pslot[c] = slot
-                                base = sy + sz
-                                for r in range(k):
-                                    c = zrow[r]
-                                    if not c:
-                                        continue
-                                    m = base + r
-                                    if m < j2:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                    else:
-                                        m2 = m - j2
-                                        if m2 > km2:
-                                            slot = m - km2
-                                            nzrow[slot] = c
-                                            parent[c] = z
-                                            pslot[c] = slot
-                                        elif m2 < j1:
-                                            nyrow[m2] = c
-                                            parent[c] = y
-                                            pslot[c] = m2
-                                            lk += 2
-                                        elif m2 <= j1hi:
-                                            slot = m2 - j1
-                                            nxrow[slot] = c
-                                            parent[c] = x
-                                            pslot[c] = slot
-                                            lk += 2
-                                        else:
-                                            slot = m2 - km1
-                                            nyrow[slot] = c
-                                            parent[c] = y
-                                            pslot[c] = slot
-                                            lk += 2
-                            if grand:
-                                child_rows[grand][gslot] = z
-                                parent[z] = grand
-                                pslot[z] = gslot
-                                lk += 2
-                            else:
-                                parent[z] = 0
-                                pslot[z] = -1
-                                self.root = z
-                            p = grand
-                            # ==== end inline splay =====================
-                    if final:
-                        break
-                    climb = v
-                    stop = u
-                    final = True
-                total_rot += rot
-                total_l += lk
-                if record:
-                    routing_series[i] = vdepth[node] + dv
-                    rotation_series[i] = rot
-        finally:
-            self._epoch = epoch
-        return total_r, total_rot, total_l
+        if hasattr(sources, "tolist"):
+            sources = sources.tolist()
+        if hasattr(targets, "tolist"):
+            targets = targets.tolist()
+        serve_one = self.serve_one
+        return accumulate_serve_totals(
+            lambda u, v: serve_one(u, v, policy, depth),
+            sources,
+            targets,
+            routing_series,
+            rotation_series,
+        )
 
     # ------------------------------------------------------------------
     # validation

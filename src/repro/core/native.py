@@ -1,9 +1,9 @@
 """The compiled tree engine: :class:`NativeTree` behind ``engine="native"``.
 
 ``NativeTree`` is a :class:`~repro.core.flat.FlatTree` whose serve paths
-run in the C kernel of :mod:`repro.core._native` — and, since ABI v2,
-whose authoritative state lives in a **resident kernel handle** between
-calls.  The state protocol:
+run in the C kernel of :mod:`repro.core._native`, and whose
+authoritative state lives in a **resident kernel handle** between calls.
+The state protocol:
 
 * The first kernel serve allocates a handle (``repro_tree_create``) and
   loads the list-backed flat state into it once (``repro_tree_load``).
@@ -20,11 +20,6 @@ calls.  The state protocol:
   serve reloads the handle.  This is the dirty-flag sync the equivalence
   and snapshot suites pin down.
 
-Residency can be disabled (``set_resident(False)`` or
-``REPRO_NATIVE_RESIDENT=0``), which restores the previous marshalled
-behaviour — every call loads and syncs the full state — used by
-``repro bench-servefarm`` to measure the resident win honestly.
-
 Unsupported configurations (deep-splay ``depth != 2``, arity beyond the
 kernel's static scratch, a kernel that failed to load after construction)
 sync and delegate to the inherited pure-Python path, which is
@@ -34,7 +29,6 @@ structurally identical by the engine-equivalence contract.
 from __future__ import annotations
 
 import ctypes
-import os
 
 import numpy as np
 
@@ -43,41 +37,10 @@ from repro.core.flat import FlatTree
 from repro.core.rotations import BLOCK_POLICIES
 from repro.errors import EngineError, RotationError
 
-__all__ = ["NativeTree", "resident_enabled", "set_resident"]
+__all__ = ["NativeTree"]
 
 #: Block-policy encoding shared with kernel.c.
 _POLICY_CODES = {"center": 0, "left": 1, "right": 2}
-
-
-def _env_resident() -> bool:
-    return os.environ.get("REPRO_NATIVE_RESIDENT", "").strip().lower() not in (
-        "0",
-        "off",
-        "false",
-        "no",
-    )
-
-
-_resident_mode = _env_resident()
-
-
-def resident_enabled() -> bool:
-    """Whether serves keep tree state resident in the kernel handle."""
-    return _resident_mode
-
-
-def set_resident(enabled: bool) -> bool:
-    """Enable/disable residency process-wide; returns the previous mode.
-
-    With residency off every kernel call marshals the full flat state in
-    and back out (the pre-ABI-v2 behaviour) — the comparison baseline of
-    the serve-farm benchmark, and an escape hatch should a resident-state
-    bug ever need ruling out in production.
-    """
-    global _resident_mode
-    previous = _resident_mode
-    _resident_mode = bool(enabled)
-    return previous
 
 
 class NativeTree(FlatTree):
@@ -227,8 +190,6 @@ class NativeTree(FlatTree):
         if status != 0:  # pragma: no cover - arity guarded above
             raise EngineError(f"native serve kernel failed (status {status})")
         self._ranges_dirty = True
-        if not _resident_mode:
-            self._sync_lists()
         return int(totals[0]), int(totals[1]), int(totals[2])
 
     def serve_many(
@@ -322,8 +283,6 @@ class NativeTree(FlatTree):
         if status != 0:  # pragma: no cover - arity guarded above
             raise EngineError(f"native serve kernel failed (status {status})")
         self._ranges_dirty = True
-        if not _resident_mode:
-            self._sync_lists()
 
         if record:
             routing_series[:m] = (

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from repro.core.engine import best_available_engine, resolve_engine
 from repro.experiments.presets import Scale, WORKLOADS, get_scale
 from repro.experiments.report import (
     render_kary_table,
@@ -129,14 +130,18 @@ def run_all(
     (:mod:`repro.scenarios.core`): ``jobs > 1`` (or 0 for all cores) fans
     table cells out across worker processes with results identical to the
     serial path, and ``engine`` selects the tree-engine backend for the
-    self-adjusting cells (``None`` = the flat engine, the fast default;
-    ``"object"`` = the reference backend — totals are identical either
-    way, see ``tests/scenarios/``).  ``cache``/``refresh`` select the
-    per-cell result cache (:mod:`repro.scenarios.cache`): with a warm
-    cache a re-run recomputes only cells whose work is new.
+    self-adjusting cells (``None`` = the best available engine: native
+    where the kernel builds, flat otherwise; ``"object"`` = the reference
+    backend — totals are identical either way, see ``tests/scenarios/``).
+    ``cache``/``refresh`` select the per-cell result cache
+    (:mod:`repro.scenarios.cache`): with a warm cache a re-run recomputes
+    only cells whose work is new.
     """
     scale = scale or get_scale()
-    report = ReproductionReport(scale=scale.name, engine=engine or "flat")
+    report = ReproductionReport(
+        scale=scale.name,
+        engine=resolve_engine(engine or best_available_engine()),
+    )
     start = time.perf_counter()
     for number in tables:
         workload = TABLE_WORKLOAD[number]

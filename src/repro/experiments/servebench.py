@@ -7,11 +7,10 @@ machine-readable record (``python -m repro bench-servefarm``,
 
 * **Scalar modes** — single ``serve(u, v)`` calls on one network, per
   serving mode: ``resident`` (native kernel owning the tree state across
-  calls), ``marshalled`` (native kernel with residency disabled — full
-  list→C→list round trip per call, the pre-resident behaviour), and
-  ``flat`` (the pure-Python array engine).  Methodology is PR 5's: modes
-  interleaved across repeats, CPU time next to wall clock, best-of kept,
-  CPU-based speedups, exact cost-total cross-check.
+  calls) and ``flat`` (the pure-Python array engine).  Modes are
+  interleaved across repeats, CPU time is recorded next to wall clock,
+  best-of is kept, the speedup is CPU-based, and cost totals are
+  cross-checked exactly.
 * **Farm scaling** — a :class:`~repro.serving.ServeFarm` under keyed Zipf
   traffic at increasing shard counts, recording p50/p99 per-request
   latency and aggregate requests/second two ways: observed wall clock,
@@ -47,13 +46,13 @@ __all__ = [
 ]
 
 #: Scalar serving modes, fastest first.
-SCALAR_MODES = ("resident", "marshalled", "flat")
+SCALAR_MODES = ("resident", "flat")
 
 
 def default_scalar_modes() -> tuple[str, ...]:
     """Every scalar mode measurable in this process.
 
-    The two native modes need the compiled kernel; without it only the
+    The resident mode needs the compiled kernel; without it only the
     flat engine is measured (benchmarking the silent fallback as
     "native" would record a lie).
     """
@@ -62,33 +61,26 @@ def default_scalar_modes() -> tuple[str, ...]:
     return ("flat",)
 
 
-def _scalar_network(mode: str, n: int, k: int, policy: str):
-    engine = "flat" if mode == "flat" else "native"
-    return build_network(
-        "kary-splaynet", n=n, k=k, engine=engine, params={"policy": policy}
-    )
-
-
 def _measure_scalar(mode: str, n: int, k: int, policy: str, sources, targets):
     """One timed scalar-serve pass; returns (wall, cpu, totals)."""
-    from repro.core.native import set_resident
-
-    net = _scalar_network(mode, n, k, policy)
+    net = build_network(
+        "kary-splaynet",
+        n=n,
+        k=k,
+        engine="flat" if mode == "flat" else "native",
+        params={"policy": policy},
+    )
     serve = net.serve
-    previous = set_resident(mode == "resident")
-    try:
-        routing = rotations = links = 0
-        w0 = time.perf_counter()
-        c0 = time.process_time()
-        for u, v in zip(sources, targets):
-            result = serve(u, v)
-            routing += result.routing_cost
-            rotations += result.rotations
-            links += result.links_changed
-        cpu = time.process_time() - c0
-        wall = time.perf_counter() - w0
-    finally:
-        set_resident(previous)
+    routing = rotations = links = 0
+    w0 = time.perf_counter()
+    c0 = time.process_time()
+    for u, v in zip(sources, targets):
+        result = serve(u, v)
+        routing += result.routing_cost
+        rotations += result.rotations
+        links += result.links_changed
+    cpu = time.process_time() - c0
+    wall = time.perf_counter() - w0
     return wall, cpu, (routing, rotations, links)
 
 
@@ -146,7 +138,7 @@ def servefarm_benchmark(
         from repro.core import _native
 
         raise ExperimentError(
-            "native scalar modes requested but the compiled kernel is"
+            "the resident scalar mode needs the compiled kernel, which is"
             f" unavailable ({_native.build_error()}); use"
             " scalar_modes=('flat',) or fix the toolchain"
         )
@@ -218,15 +210,10 @@ def servefarm_benchmark(
             result["scalar"]["totals_match"] = all(
                 t == reference for t in totals.values()
             )
-        for fast, slow in (
-            ("resident", "marshalled"),
-            ("resident", "flat"),
-            ("flat", "marshalled"),
-        ):
-            if fast in best_cpu and slow in best_cpu and best_cpu[fast] > 0:
-                result["scalar"][f"speedup_{fast}_over_{slow}"] = (
-                    best_cpu[slow] / best_cpu[fast]
-                )
+        if best_cpu.get("resident") and "flat" in best_cpu:
+            result["scalar"]["speedup_resident_over_flat"] = (
+                best_cpu["flat"] / best_cpu["resident"]
+            )
 
     # -- farm scaling (best wall per shard count) -----------------------
     if shard_counts and farm_m:

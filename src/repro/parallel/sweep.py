@@ -10,7 +10,8 @@ chokepoint behind the table runners and ``run_all``), and reassembles a
 Simulation sweeps need no hand-written cell function:
 :func:`run_scenario_sweep` maps axis coordinates straight onto
 :class:`~repro.scenarios.spec.ScenarioSpec` fields, so each cell inherits
-the core's per-worker trace memoization and flat-engine default.
+the core's per-worker trace memoization and best-available engine
+default.
 
 Example
 -------

@@ -5,9 +5,10 @@ evaluation harness: treat the (workload × algorithm × arity × cost model)
 grid as *data*.  :class:`ScenarioSpec` names one cell; the registry expands
 the paper's Tables 1–8 and Remark 10 (plus any user-registered campaign)
 into spec lists; :func:`run_specs` executes any spec list serially or
-across worker processes with per-worker trace memoization and the flat
-tree engine as the online default; :class:`JsonlResultSink` streams results
-to ``benchmarks/results/``.
+across worker processes with per-worker trace memoization and the best
+available tree engine (native where the C kernel builds, flat otherwise)
+as the online default; :class:`JsonlResultSink` streams results to
+``benchmarks/results/``.
 
 The classic experiment entry points (``repro.experiments.tables``,
 ``run_all``, the parallel runners, simulation sweeps) are thin adapters
@@ -24,7 +25,6 @@ Typical use::
 from repro.scenarios.spec import (
     ANALYTIC_ALGORITHMS,
     COST_MODELS,
-    DEFAULT_ONLINE_ENGINE,
     ScenarioSpec,
     specs_from_json,
     specs_to_json,
@@ -62,7 +62,6 @@ from repro.scenarios.cache import (
 __all__ = [
     "ANALYTIC_ALGORITHMS",
     "COST_MODELS",
-    "DEFAULT_ONLINE_ENGINE",
     "ScenarioSpec",
     "ScenarioResult",
     "specs_to_json",

@@ -12,9 +12,10 @@ content key derived from exactly those fields, so re-running a campaign
 topology and the algorithm ``params``, plus :data:`RESULT_CACHE_VERSION`.  ``group`` (provenance) and
 ``cost_model`` (a reporting convention over the recorded raw totals) are
 deliberately excluded — the same cell reached through different campaigns
-is the same work.  ``engine=None`` and an explicit ``engine="flat"``
-resolve to the same key; ``engine="object"`` caches separately so
-cross-engine checks always exercise both backends.
+is the same work.  ``engine=None`` keys as the best available engine
+(``"native"`` where the C kernel builds, ``"flat"`` otherwise), the same
+key as naming that engine explicitly; ``engine="object"`` caches
+separately so cross-engine checks always exercise both backends.
 
 **What invalidates an entry**: any key field changing, or a bump of
 :data:`RESULT_CACHE_VERSION` — bump it whenever algorithm/trace semantics

@@ -11,9 +11,10 @@ one place instead of three divergent code paths:
 * **Trace memoization** — cells share the per-process trace memo of
   :mod:`repro.parallel.tasks`, so a table's up-to-27 cells materialize the
   workload once per worker instead of once per cell.
-* **Engine policy** — engine-capable online cells default to the flat
-  structure-of-arrays backend (≈3× the object engine on the serve loop);
-  ``engine="object"`` remains one field away for cross-checks.
+* **Engine policy** — engine-capable online cells default to the best
+  available engine (the native C kernel where it builds, the pure-Python
+  flat engine otherwise); ``engine="object"`` remains one field away for
+  cross-checks.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.core.engine import ENGINES
+from repro.core.engine import ENGINES, best_available_engine, resolve_engine
 from repro.errors import ExperimentError
 from repro.net.registry import (
     engine_capable_algorithms,
@@ -47,7 +47,6 @@ from repro.parallel.tasks import SimulationTask
 __all__ = [
     "ANALYTIC_ALGORITHMS",
     "COST_MODELS",
-    "DEFAULT_ONLINE_ENGINE",
     "ScenarioSpec",
     "specs_to_json",
     "specs_from_json",
@@ -63,11 +62,6 @@ ANALYTIC_ALGORITHMS = (
 
 #: Cost-model names a spec may carry (see :mod:`repro.network.cost`).
 COST_MODELS = ("routing", "unit_rotations")
-
-#: Engine used for engine-capable online cells when the spec leaves
-#: ``engine=None`` — the flat structure-of-arrays backend, ~3× the object
-#: engine on the serve hot loop (see ROADMAP.md / BENCH_engine_hotpath).
-DEFAULT_ONLINE_ENGINE = "flat"
 
 
 @dataclass(frozen=True)
@@ -90,8 +84,10 @@ class ScenarioSpec:
         Tree arity.
     engine:
         Tree-engine backend for engine-capable online algorithms.  ``None``
-        (default) resolves to :data:`DEFAULT_ONLINE_ENGINE` at execution
-        time; pass ``"object"`` explicitly for the reference backend.
+        (default) resolves to
+        :func:`~repro.core.engine.best_available_engine` at execution
+        time — ``"native"`` where the C kernel builds, ``"flat"``
+        otherwise; pass ``"object"`` explicitly for the reference backend.
     cost_model:
         Reporting convention the cell's totals are meant to be read under
         (``"routing"`` or ``"unit_rotations"``).  Raw totals are recorded
@@ -163,10 +159,12 @@ class ScenarioSpec:
         """The engine this cell will actually run on.
 
         Engine-capable online cells default to
-        :data:`DEFAULT_ONLINE_ENGINE`; every other kind has no engine.
+        :func:`~repro.core.engine.best_available_engine`, and an explicit
+        ``"native"`` without the kernel reports the ``"flat"`` fallback it
+        runs on; every other kind has no engine.
         """
         if self.algorithm in engine_capable_algorithms():
-            return self.engine or DEFAULT_ONLINE_ENGINE
+            return resolve_engine(self.engine or best_available_engine())
         return None
 
     # -- bridges -------------------------------------------------------

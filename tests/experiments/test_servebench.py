@@ -50,7 +50,7 @@ class TestServefarmBenchmark:
         assert "scaling_2_over_1" in result["farm"]
         if native_available():
             assert result["scalar"]["totals_match"] is True
-            assert result["scalar"]["speedup_resident_over_marshalled"] > 0
+            assert result["scalar"]["speedup_resident_over_flat"] > 0
 
     def test_parts_can_be_skipped(self):
         scalar_only = servefarm_benchmark(

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.engine import best_available_engine
 from repro.errors import ExperimentError
 from repro.scenarios import (
     JsonlResultSink,
@@ -47,9 +48,9 @@ class TestKeying:
             spec(group="elsewhere", cost_model="unit_rotations")
         )
 
-    def test_engine_none_resolves_to_flat_key(self):
+    def test_engine_none_resolves_to_best_available_key(self):
         assert spec_cache_key(spec(engine=None)) == spec_cache_key(
-            spec(engine="flat")
+            spec(engine=best_available_engine())
         )
         assert spec_cache_key(spec(engine="object")) != spec_cache_key(
             spec(engine="flat")

@@ -6,13 +6,15 @@ import json
 
 import pytest
 
+from repro.core import engine as engine_module
+from repro.core.engine import best_available_engine
 from repro.errors import ExperimentError
+from repro.net.registry import build_network
 from repro.scenarios import (
     ScenarioSpec,
     specs_from_json,
     specs_to_json,
 )
-from repro.scenarios.spec import DEFAULT_ONLINE_ENGINE
 
 
 def spec(**overrides):
@@ -65,9 +67,18 @@ class TestClassification:
         m = 0 if kind == "analytic" else 200
         assert spec(algorithm=algorithm, m=m).kind == kind
 
-    def test_engine_defaults_to_flat_for_capable_cells(self):
-        assert spec().resolved_engine() == DEFAULT_ONLINE_ENGINE
+    def test_engine_defaults_to_best_available_for_capable_cells(self):
+        assert spec().resolved_engine() == best_available_engine()
         assert spec(engine="object").resolved_engine() == "object"
+
+    def test_native_without_kernel_resolves_to_its_fallback(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "native_available", lambda: False)
+        monkeypatch.setattr(engine_module, "_native_fallback_warned", True)
+        cell = spec(engine="native")
+        assert cell.resolved_engine() == "flat"
+        assert cell.task().engine == "flat"
+        assert build_network(cell.task().network_spec()).engine == "flat"
+        assert spec().resolved_engine() == "flat"
 
     def test_no_engine_for_engine_free_cells(self):
         assert spec(algorithm="splaynet").resolved_engine() is None
@@ -75,7 +86,7 @@ class TestClassification:
 
     def test_task_bridge_threads_engine(self):
         task = spec().task()
-        assert task.engine == DEFAULT_ONLINE_ENGINE
+        assert task.engine == best_available_engine()
         assert (task.workload, task.n, task.m, task.seed) == spec().trace_key()
 
     def test_analytic_cells_have_no_task(self):

@@ -328,46 +328,35 @@ class TestResidentRuntime:
 
     A resident NativeTree keeps its authoritative state inside the
     kernel handle between serves; every inspection / snapshot /
-    cross-engine path must transparently sync it back.  Disabling
-    residency (``set_resident(False)``) restores the marshalled
-    per-call round trip — both modes must be request-for-request
-    identical to each other and to the flat and object engines.
+    cross-engine path must transparently sync it back, request for
+    request identical to the flat and object engines.
     """
 
-    def test_scalar_serves_stay_resident_and_match_object(self):
-        from repro.core import native as native_module
-
+    @staticmethod
+    def serve_against_object(sync_every: int) -> None:
+        """Serve one trace on object and native, inspecting the native
+        tree (a handle -> lists sync, then a reload on the next serve)
+        after every ``sync_every``-th request."""
         n, k = 36, 3
         obj = KArySplayNet(n, k, engine="object")
         nat = KArySplayNet(n, k, engine="native")
-        assert native_module.resident_enabled()
         trace = uniform_trace(n, 300, seed=11)
         for i, (u, v) in enumerate(trace.pairs()):
             assert result_tuple(obj.serve(u, v)) == result_tuple(
                 nat.serve(u, v)
             ), i
-            if i % 40 == 0:
-                # Inspection forces a handle -> lists sync mid-stream.
-                assert tree_signature(obj.tree) == nat.flat.signature()
+            if i % sync_every == 0:
+                assert tree_signature(obj.tree) == nat.flat.signature(), i
         assert tree_signature(obj.tree) == nat.flat.signature()
         nat.flat.validate()
 
-    def test_marshalled_mode_is_identical(self):
-        from repro.core.native import set_resident
+    def test_scalar_serves_stay_resident_and_match_object(self):
+        self.serve_against_object(sync_every=40)
 
-        n, k = 30, 4
-        trace = zipf_trace(n, 250, 1.2, seed=5)
-        resident = KArySplayNet(n, k, engine="native")
-        marshalled = KArySplayNet(n, k, engine="native")
-        for u, v in trace.pairs():
-            a = result_tuple(resident.serve(u, v))
-            previous = set_resident(False)
-            try:
-                b = result_tuple(marshalled.serve(u, v))
-            finally:
-                set_resident(previous)
-            assert a == b
-        assert resident.flat.signature() == marshalled.flat.signature()
+    def test_sync_after_every_serve_matches_object(self):
+        """Per-request coverage of the repro_tree_load / sync_out round
+        trip: every serve reloads the handle from the lists."""
+        self.serve_against_object(sync_every=1)
 
     def test_scalar_out_of_range_rejected_resident(self):
         nat = KArySplayNet(12, 2, engine="native")
