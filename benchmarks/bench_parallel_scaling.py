@@ -11,7 +11,6 @@ import time
 
 from conftest import run_once
 
-from repro.experiments.parallel_runner import run_kary_table_parallel
 from repro.experiments.tables import run_kary_table
 
 
@@ -24,7 +23,7 @@ def test_parallel_scaling(benchmark, scale, record_table):
         t0 = time.perf_counter()
         serial = run_kary_table(workload, scale=scale, ks=ks, include_optimal=False)
         t1 = time.perf_counter()
-        parallel = run_kary_table_parallel(
+        parallel = run_kary_table(
             workload, scale=scale, ks=ks, include_optimal=False, jobs=jobs
         )
         t2 = time.perf_counter()

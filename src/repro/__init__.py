@@ -112,7 +112,6 @@ from repro.reliability import (
     backoff_delays,
     inject_faults,
     run_chaos,
-    write_chaos_record,
 )
 from repro.results import (
     JsonlStore,
@@ -293,7 +292,6 @@ __all__ = [
     "backoff_delays",
     "ChaosConfig",
     "run_chaos",
-    "write_chaos_record",
     # results storage (pluggable campaign record backends)
     "ResultStore",
     "JsonlStore",

@@ -25,8 +25,15 @@ Subcommands:
   farm (``--shards N --port P``; SIGTERM drains gracefully)
 * ``bench-ingress`` — socket-path throughput/latency vs. the direct
   in-process farm, micro-batched vs. batch-size-1 dispatch
+* ``chaos`` — seeded chaos soak against a live ``repro serve`` process
 * ``bench-report`` — render ``benchmarks/results/BENCH_*.json`` into a
-  markdown perf-trajectory table
+  markdown perf-trajectory table (exit 1 when a record's equality check
+  fails)
+
+Every record command (``bench-*`` other than ``bench-report``, and
+``chaos``) prints its JSON record stamped with a ``provenance`` block,
+writes it with ``--output``, and exits 1 when any ``*_match`` check in the
+record is false.
 
 Every command is a thin shell over the public API, so anything done here
 can be scripted directly in Python; run with ``-h`` for per-command flags.
@@ -228,12 +235,38 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit_record(record: dict, output: Optional[str]) -> int:
+    """Print a benchmark record, optionally write it, gate its checks.
+
+    Exit status 1 when any ``*_match`` equality check anywhere in the
+    record is false (the :func:`~repro.experiments.trajectory.record_checks`
+    definition ``bench-report`` applies to committed records).
+    """
+    from repro.experiments.benchkit import provenance, record_json, write_record
+    from repro.experiments.trajectory import record_checks
+
+    record.setdefault("provenance", provenance())
+    print(record_json(record))
+    if output:
+        write_record(record, output)
+        print(f"wrote {output}", file=sys.stderr)
+    return _gate_checks(
+        [path for path, passed in record_checks(record) if not passed]
+    )
+
+
+def _gate_checks(failed: list[str]) -> int:
+    """Exit status of a run whose failing equality checks are ``failed``."""
+    if failed:
+        print(f"error: equality check failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
-    import json
+    from repro.experiments.hotpath import hotpath_benchmark
 
-    from repro.experiments.hotpath import hotpath_benchmark, write_hotpath_record
-
-    result = hotpath_benchmark(
+    record = hotpath_benchmark(
         n=args.nodes,
         k=args.k,
         m=args.requests,
@@ -243,14 +276,7 @@ def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         engines=args.engines,
     )
-    print(json.dumps(result, indent=2, sort_keys=True))
-    if args.output:
-        write_hotpath_record(result, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    if result.get("totals_match") is False:
-        print("error: engine cost totals diverged", file=sys.stderr)
-        return 1
-    return 0
+    return _emit_record(record, args.output)
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
@@ -278,12 +304,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
-    import json
-
     from repro.experiments.pipelinebench import (
         DEFAULT_TABLES,
         reproduce_pipeline_benchmark,
-        write_pipeline_record,
     )
 
     record = reproduce_pipeline_benchmark(
@@ -294,23 +317,11 @@ def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         verbose=not args.quiet,
     )
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if args.output:
-        write_pipeline_record(record, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    if record.get("summaries_match") is False:
-        print("error: engine table summaries diverged", file=sys.stderr)
-        return 1
-    return 0
+    return _emit_record(record, args.output)
 
 
 def _cmd_bench_optimal(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.optimalbench import (
-        optimal_dp_benchmark,
-        write_optimal_record,
-    )
+    from repro.experiments.optimalbench import optimal_dp_benchmark
 
     record = optimal_dp_benchmark(
         args.scale,
@@ -320,27 +331,11 @@ def _cmd_bench_optimal(args: argparse.Namespace) -> int:
         include_legacy=not args.no_legacy,
         verbose=not args.quiet,
     )
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if args.output:
-        write_optimal_record(record, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    failed = (
-        record["dp"].get("costs_match") is False
-        or record["cache"].get("summaries_match") is False
-    )
-    if failed:
-        print("error: DP subsystem diverged from its oracle", file=sys.stderr)
-        return 1
-    return 0
+    return _emit_record(record, args.output)
 
 
 def _cmd_bench_servefarm(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.servebench import (
-        servefarm_benchmark,
-        write_servefarm_record,
-    )
+    from repro.experiments.servebench import servefarm_benchmark
 
     record = servefarm_benchmark(
         n=args.nodes,
@@ -355,18 +350,7 @@ def _cmd_bench_servefarm(args: argparse.Namespace) -> int:
         keys=args.keys,
         window=args.window,
     )
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if args.output:
-        write_servefarm_record(record, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    failed = (
-        record["scalar"].get("totals_match") is False
-        or record["farm"].get("totals_match") is False
-    )
-    if failed:
-        print("error: serving-mode cost totals diverged", file=sys.stderr)
-        return 1
-    return 0
+    return _emit_record(record, args.output)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -452,12 +436,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_ingress(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.ingressbench import (
-        ingress_benchmark,
-        write_ingress_record,
-    )
+    from repro.experiments.ingressbench import ingress_benchmark
 
     record = ingress_benchmark(
         n=args.nodes,
@@ -471,24 +450,11 @@ def _cmd_bench_ingress(args: argparse.Namespace) -> int:
         batch_max=args.batch_max,
         concurrency=args.concurrency,
     )
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if args.output:
-        write_ingress_record(record, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    if record.get("totals_match") is False:
-        print("error: ingress cost totals diverged", file=sys.stderr)
-        return 1
-    return 0
+    return _emit_record(record, args.output)
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.reliability.chaos import (
-        ChaosConfig,
-        run_chaos,
-        write_chaos_record,
-    )
+    from repro.reliability.chaos import ChaosConfig, run_chaos
 
     config = ChaosConfig(
         n=args.nodes,
@@ -507,10 +473,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     print(f"chaos soak: seed={config.seed} rounds={config.rounds}"
           f" shards={config.shards}", file=sys.stderr)
     report = run_chaos(config)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if args.output:
-        write_chaos_record(report, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
+    code = _emit_record(report, args.output)
     if not report["passed"]:
         print(
             f"error: chaos invariants violated (replay with"
@@ -518,11 +481,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    return 0
+    return code
 
 
 def _cmd_bench_report(args: argparse.Namespace) -> int:
-    from repro.experiments.trajectory import render_trajectory
+    from repro.experiments.trajectory import (
+        load_benchmark_records,
+        record_checks,
+        render_trajectory,
+    )
 
     text = render_trajectory(args.results_dir)
     print(text, end="")
@@ -531,7 +498,14 @@ def _cmd_bench_report(args: argparse.Namespace) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text)
         print(f"wrote {args.output}", file=sys.stderr)
-    return 0
+    return _gate_checks(
+        [
+            f"{name} {path}"
+            for name, record in load_benchmark_records(args.results_dir).items()
+            for path, passed in record_checks(record)
+            if not passed
+        ]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -644,12 +618,7 @@ def _cmd_scenarios_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_store(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.storebench import (
-        results_store_benchmark,
-        write_store_record,
-    )
+    from repro.experiments.storebench import results_store_benchmark
 
     record = results_store_benchmark(
         cells=args.cells,
@@ -657,14 +626,7 @@ def _cmd_bench_store(args: argparse.Namespace) -> int:
         batch=args.batch,
         seed=args.seed,
     )
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if args.output:
-        write_store_record(record, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    if record.get("roundtrip_match") is False:
-        print("error: store backends disagree on the record", file=sys.stderr)
-        return 1
-    return 0
+    return _emit_record(record, args.output)
 
 
 # ----------------------------------------------------------------------

@@ -4,16 +4,14 @@ The paper's experiments are traces of 10^5–10^6 ``serve(u, v)`` calls, so
 end-to-end reproduction time is dominated by the serve hot loop.  This
 module measures that loop in isolation — requests/second and
 rotations/second for each engine on the same Zipf trace — and emits a
-machine-readable dict, used by ``python -m repro bench-hotpath``, by
-``benchmarks/bench_engine_hotpath.py`` and by the tier-1 smoke test.
+machine-readable dict, used by ``python -m repro bench-hotpath`` and by
+the tier-1 smoke test.
 
-Methodology (PR 5): engines are *interleaved* across repeats (engine A,
-B, C, then A, B, C again, ...) rather than measured back to back, so slow
-thermal/load drift hits every engine equally; and every measurement
-records CPU time (``time.process_time``) next to wall clock, with the
-best-of-``repeats`` kept per engine for both.  Recorded speedups are
-computed from CPU time — on a loaded box wall-clock ratios wander by
-±15%, CPU ratios do not.
+Methodology: engines are timed by
+:func:`~repro.experiments.benchkit.best_of_interleaved` — interleaved
+across repeats, CPU time next to wall clock, best-of-``repeats`` kept per
+engine for both.  Recorded speedups are computed from CPU time — on a
+loaded box wall-clock ratios wander by ±15%, CPU ratios do not.
 
 The engines are also cross-checked: their cost totals must agree exactly
 (they implement the same discipline), so a benchmark run doubles as an
@@ -22,14 +20,16 @@ end-to-end equivalence check at benchmark scale.
 
 from __future__ import annotations
 
-import json
-import platform
-import time
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core.engine import ENGINES, native_available
 from repro.errors import ExperimentError
+from repro.experiments.benchkit import (
+    all_equal,
+    batch_totals,
+    best_of_interleaved,
+    require_engines,
+)
 from repro.net.registry import build_network
 from repro.workloads.synthetic import zipf_trace
 
@@ -37,7 +37,6 @@ __all__ = [
     "SPEEDUP_PAIRS",
     "default_hotpath_engines",
     "hotpath_benchmark",
-    "write_hotpath_record",
 ]
 
 _HOTPATH_ALGORITHMS = {
@@ -98,27 +97,19 @@ def hotpath_benchmark(
     JSON-serializable dict with per-engine throughput (wall and CPU),
     pairwise speedups, and an exact cross-engine totals check.
     """
-    if repeats < 1:
-        raise ExperimentError(f"repeats must be >= 1, got {repeats}")
     if engines is None:
         engines = default_hotpath_engines()
     engines = tuple(engines)
     if not engines:
         raise ExperimentError("need at least one engine to benchmark")
-    for engine in engines:
-        if engine not in ENGINES:
-            raise ExperimentError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
-            )
-    if "native" in engines and not native_available():
-        from repro.core import _native
-
-        raise ExperimentError(
-            "engine 'native' requested but the compiled kernel is"
-            f" unavailable ({_native.build_error()}); drop it from"
-            " --engines or fix the toolchain"
-        )
+    require_engines(engines, "drop it from --engines or fix the toolchain")
     trace = zipf_trace(n, m, zipf_alpha, seed)
+
+    def prepare(engine: str):
+        net = _build_network(network, n, k, policy, engine)
+        return lambda: net.serve_trace(trace.sources, trace.targets)
+
+    best = best_of_interleaved(engines, repeats, prepare)
     result: dict = {
         "benchmark": "engine_hotpath",
         "config": {
@@ -133,64 +124,31 @@ def hotpath_benchmark(
             "repeats": repeats,
             "engines": list(engines),
             "interleaved": True,
-            "python": platform.python_version(),
         },
         "engines": {},
     }
-    best_wall: dict[str, float] = {}
-    best_cpu: dict[str, float] = {}
-    batches: dict[str, object] = {}
-    for _ in range(repeats):
-        for engine in engines:
-            net = _build_network(network, n, k, policy, engine)
-            w0 = time.perf_counter()
-            c0 = time.process_time()
-            batch = net.serve_trace(trace.sources, trace.targets)
-            cpu = time.process_time() - c0
-            wall = time.perf_counter() - w0
-            if engine not in best_wall or wall < best_wall[engine]:
-                best_wall[engine] = wall
-            if engine not in best_cpu or cpu < best_cpu[engine]:
-                best_cpu[engine] = cpu
-            batches[engine] = batch
-
-    totals: dict[str, tuple[int, int, int]] = {}
-    for engine in engines:
-        batch = batches[engine]
-        wall = best_wall[engine]
-        cpu = best_cpu[engine]
-        totals[engine] = (
-            batch.total_routing,
-            batch.total_rotations,
-            batch.total_links_changed,
-        )
+    for engine, timing in best.items():
+        batch = timing.result
         result["engines"][engine] = {
-            "seconds": wall,
-            "cpu_seconds": cpu,
-            "requests_per_second": m / wall,
-            "requests_per_second_cpu": m / cpu if cpu > 0 else float("inf"),
-            "rotations_per_second": batch.total_rotations / wall,
+            "seconds": timing.wall,
+            "cpu_seconds": timing.cpu,
+            "requests_per_second": m / timing.wall,
+            "requests_per_second_cpu": (
+                m / timing.cpu if timing.cpu > 0 else float("inf")
+            ),
+            "rotations_per_second": batch.total_rotations / timing.wall,
             "total_routing": batch.total_routing,
             "total_rotations": batch.total_rotations,
             "total_links_changed": batch.total_links_changed,
         }
-    if len(totals) > 1:
-        reference = next(iter(totals.values()))
-        result["totals_match"] = all(t == reference for t in totals.values())
+    match = all_equal(batch_totals(timing.result) for timing in best.values())
+    if match is not None:
+        result["totals_match"] = match
     for fast, slow in SPEEDUP_PAIRS:
-        if fast in best_cpu and slow in best_cpu and best_cpu[fast] > 0:
-            result[f"speedup_{fast}_over_{slow}"] = (
-                best_cpu[slow] / best_cpu[fast]
-            )
+        if fast in best and slow in best and best[fast].cpu > 0:
+            result[f"speedup_{fast}_over_{slow}"] = best[slow].cpu / best[fast].cpu
             result[f"speedup_{fast}_over_{slow}_wall"] = (
-                best_wall[slow] / best_wall[fast]
+                best[slow].wall / best[fast].wall
             )
     return result
 
-
-def write_hotpath_record(result: dict, path: "str | Path") -> Path:
-    """Persist a benchmark record as pretty-printed JSON."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return out

@@ -17,58 +17,31 @@ stream, exact cost-total cross-checks, wall-clock req/s):
 
 Latency percentiles are client-observed wall times recorded into the
 constant-memory :class:`~repro.net.session.LatencyStats` histogram.
-Run via ``repro bench-ingress`` or ``benchmarks/bench_ingress.py``;
-records go to ``benchmarks/results/BENCH_ingress.json``.
+Run via ``repro bench-ingress``; records go to
+``benchmarks/results/BENCH_ingress.json``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
-import platform
 import tempfile
 import time
-from pathlib import Path
-from typing import Optional
 
 from repro.errors import ExperimentError
+from repro.experiments.benchkit import (
+    all_equal,
+    batch_totals,
+    clean_totals,
+    keyed_stream,
+)
 from repro.ingress import AsyncIngressClient, IngressServer
-from repro.net.session import open_session
 from repro.serving.farm import ServeFarm
 from repro.workloads.synthetic import zipf_trace
 
-__all__ = ["ingress_benchmark", "write_ingress_record"]
+__all__ = ["ingress_benchmark"]
 
 _ALGORITHM = "kary-splaynet"
-
-
-def _keyed_stream(trace, keys: int) -> list:
-    """Deterministic keyed traffic: Zipf requests, keys round-robin."""
-    sources = trace.sources.tolist()
-    targets = trace.targets.tolist()
-    return [
-        (f"key-{i % keys}", sources[i], targets[i])
-        for i in range(len(sources))
-    ]
-
-
-def _clean_totals(stream, n: int, k: int) -> tuple[int, int, int, int]:
-    """Oracle totals: one fresh session per key, requests in order."""
-    per_key: dict[str, list] = {}
-    for key, u, v in stream:
-        per_key.setdefault(key, []).append((u, v))
-    totals = [0, 0, 0, 0]
-    for key in per_key:
-        session = open_session(_ALGORITHM, n=n, k=k)
-        sources = [u for u, _ in per_key[key]]
-        targets = [v for _, v in per_key[key]]
-        batch = session.serve_stream(sources, targets)
-        totals[0] += batch.m
-        totals[1] += batch.total_routing
-        totals[2] += batch.total_rotations
-        totals[3] += batch.total_links_changed
-    return tuple(totals)
 
 
 def _direct_farm(stream, n: int, k: int, shards: int) -> dict:
@@ -80,12 +53,7 @@ def _direct_farm(stream, n: int, k: int, shards: int) -> dict:
     return {
         "seconds": elapsed,
         "requests_per_second": len(stream) / elapsed if elapsed > 0 else 0.0,
-        "totals": [
-            batch.m,
-            batch.total_routing,
-            batch.total_rotations,
-            batch.total_links_changed,
-        ],
+        "totals": batch_totals(batch),
     }
 
 
@@ -124,12 +92,7 @@ async def _socket_run(
         "latency_p99_seconds": latency.p99,
         "batch_window_seconds": batch_window,
         "batch_max": batch_max,
-        "totals": [
-            totals.m,
-            totals.total_routing,
-            totals.total_rotations,
-            totals.total_links_changed,
-        ],
+        "totals": batch_totals(totals),
     }
 
 
@@ -165,9 +128,9 @@ def ingress_benchmark(
     if concurrency < 1:
         raise ExperimentError(f"concurrency must be >= 1, got {concurrency}")
     trace = zipf_trace(n, m, zipf_alpha, seed)
-    stream = _keyed_stream(trace, keys)
+    stream = keyed_stream(trace, keys)
 
-    clean = _clean_totals(stream, n, k)
+    clean = clean_totals(stream, _ALGORITHM, n, k)
     direct = _direct_farm(stream, n, k, shards)
     batched = asyncio.run(
         _socket_run(
@@ -199,18 +162,13 @@ def ingress_benchmark(
             "batch_window_seconds": batch_window,
             "batch_max": batch_max,
             "concurrency": concurrency,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
         },
-        "clean_totals": list(clean),
+        "clean_totals": clean,
         "direct": direct,
         "socket_batched": batched,
         "socket_unbatched": unbatched,
-        "totals_match": (
-            list(clean)
-            == direct["totals"]
-            == batched["totals"]
-            == unbatched["totals"]
+        "totals_match": all_equal(
+            [clean, direct["totals"], batched["totals"], unbatched["totals"]]
         ),
     }
     if unbatched["requests_per_second"] > 0:
@@ -224,10 +182,3 @@ def ingress_benchmark(
         )
     return result
 
-
-def write_ingress_record(result: dict, path: "str | Path") -> Path:
-    """Persist a benchmark record as pretty-printed JSON."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return out

@@ -21,8 +21,6 @@ Used by ``python -m repro bench-optimal``.
 
 from __future__ import annotations
 
-import json
-import platform
 import tempfile
 import time
 from pathlib import Path
@@ -39,7 +37,7 @@ from repro.scenarios.core import ScenarioResult, run_specs
 from repro.scenarios.registry import expand
 from repro.workloads.demand import DemandMatrix
 
-__all__ = ["DEFAULT_CAMPAIGN", "optimal_dp_benchmark", "write_optimal_record"]
+__all__ = ["DEFAULT_CAMPAIGN", "optimal_dp_benchmark"]
 
 #: The quick-scale campaign dominated by the n=1024 optimal-tree DP
 #: (facebook is the workload whose DP the ROADMAP names the long pole).
@@ -95,7 +93,6 @@ def optimal_dp_benchmark(
             "m": scale_obj.m,
             "seed": scale_obj.seed,
             "ks": list(ks),
-            "python": platform.python_version(),
         },
     }
 
@@ -184,10 +181,3 @@ def optimal_dp_benchmark(
         }
     return record
 
-
-def write_optimal_record(record: dict, path: "str | Path") -> Path:
-    """Persist a benchmark record as pretty-printed JSON."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return out

@@ -10,20 +10,19 @@ metric: wall clock on a loaded box is ±15% noisy, CPU time is stable.
 Each engine runs the identical table subset ``repeats`` times (best kept);
 the engines' table summaries are cross-checked for exact equality, so a
 benchmark run doubles as an end-to-end engine-equivalence check at
-pipeline scale.  Used by ``python -m repro bench-pipeline`` and
-``benchmarks/bench_reproduce_pipeline.py``.
+pipeline scale.  Used by ``python -m repro bench-pipeline``.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import time
-from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.core.engine import ENGINES, native_available
 from repro.errors import ExperimentError
+from repro.experiments.benchkit import (
+    all_equal,
+    best_of_interleaved,
+    require_engines,
+)
 from repro.experiments.hotpath import SPEEDUP_PAIRS, default_hotpath_engines
 from repro.experiments.presets import get_scale
 from repro.experiments.runner import run_all
@@ -33,13 +32,10 @@ __all__ = [
     "DEFAULT_TABLES",
     "DEFAULT_REPEATS",
     "reproduce_pipeline_benchmark",
-    "write_pipeline_record",
 ]
 
-#: The recorded-trajectory defaults, shared by ``repro bench-pipeline`` and
-#: ``benchmarks/bench_reproduce_pipeline.py`` so both frontends refresh
-#: ``BENCH_reproduce_pipeline.json`` with comparable configurations.
-#: Tables 3 and 8 are excluded: at quick scale both are dominated by the
+#: The recorded-trajectory defaults of ``repro bench-pipeline``, so every
+#: refresh of ``BENCH_reproduce_pipeline.json`` is comparable.  Tables 3 and 8 are excluded: at quick scale both are dominated by the
 #: engine-independent n=1024 optimal-tree DP, which dilutes the signal.
 DEFAULT_TABLES = (1, 2, 4, 5, 6, 7)
 DEFAULT_REPEATS = 2
@@ -73,23 +69,9 @@ def reproduce_pipeline_benchmark(
     JSON-serializable record with per-engine CPU/wall seconds, the
     flat-over-object speedup and the cross-engine summary check.
     """
-    if repeats < 1:
-        raise ExperimentError(f"repeats must be >= 1, got {repeats}")
     if engines is None:
         engines = default_hotpath_engines()
-    for engine in engines:
-        if engine not in ENGINES:
-            raise ExperimentError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
-            )
-    if "native" in engines and not native_available():
-        from repro.core import _native
-
-        raise ExperimentError(
-            "engine 'native' requested but the compiled kernel is"
-            f" unavailable ({_native.build_error()}); drop it from the"
-            " engine list or fix the toolchain"
-        )
+    require_engines(engines, "drop it from the engine list or fix the toolchain")
     if not tables:
         raise ExperimentError("tables must name at least one of Tables 1-7")
     unknown = sorted(set(tables) - set(TABLE_WORKLOAD))
@@ -108,61 +90,36 @@ def reproduce_pipeline_benchmark(
             "include_remark10": include_remark10,
             "repeats": repeats,
             "jobs": jobs,
-            "python": platform.python_version(),
         },
         "engines": {},
     }
-    summaries: dict[str, dict] = {}
-    # Interleave engines across repeats (A B A B ...) instead of timing one
-    # engine's repeats back to back, so thermal/load drift cancels.
-    best_cpu: dict[str, float] = {}
-    best_wall: dict[str, float] = {}
-    for repeat in range(repeats):
-        for engine in engines:
-            if verbose:
-                print(
-                    f"[bench-pipeline] {engine} repeat {repeat + 1}/{repeats} ...",
-                    flush=True,
-                )
-            cpu0 = time.process_time()
-            wall0 = time.perf_counter()
-            report = run_all(
-                scale=scale_obj,
-                tables=tables,
-                include_table8=include_table8,
-                include_remark10=include_remark10,
-                verbose=False,
-                jobs=jobs,
-                engine=engine,
-            )
-            cpu = time.process_time() - cpu0
-            wall = time.perf_counter() - wall0
-            if engine not in best_cpu or cpu < best_cpu[engine]:
-                best_cpu[engine] = cpu
-            if engine not in best_wall or wall < best_wall[engine]:
-                best_wall[engine] = wall
-            summaries[engine] = _comparable_summary(report.summary())
-    for engine in engines:
-        record["engines"][engine] = {
-            "cpu_seconds": best_cpu[engine],
-            "wall_seconds": best_wall[engine],
-        }
-    if len(summaries) > 1:
-        reference = next(iter(summaries.values()))
-        record["summaries_match"] = all(
-            summary == reference for summary in summaries.values()
+
+    def prepare(engine: str):
+        if verbose:
+            print(f"[bench-pipeline] {engine} ...", flush=True)
+        return lambda: run_all(
+            scale=scale_obj,
+            tables=tables,
+            include_table8=include_table8,
+            include_remark10=include_remark10,
+            verbose=False,
+            jobs=jobs,
+            engine=engine,
         )
+
+    best = best_of_interleaved(engines, repeats, prepare)
+    for engine, timing in best.items():
+        record["engines"][engine] = {
+            "cpu_seconds": timing.cpu,
+            "wall_seconds": timing.wall,
+        }
+    match = all_equal(
+        _comparable_summary(timing.result.summary()) for timing in best.values()
+    )
+    if match is not None:
+        record["summaries_match"] = match
     for fast, slow in SPEEDUP_PAIRS:
-        if fast in best_cpu and slow in best_cpu and best_cpu[fast] > 0:
-            record[f"speedup_{fast}_over_{slow}"] = (
-                best_cpu[slow] / best_cpu[fast]
-            )
+        if fast in best and slow in best and best[fast].cpu > 0:
+            record[f"speedup_{fast}_over_{slow}"] = best[slow].cpu / best[fast].cpu
     return record
 
-
-def write_pipeline_record(record: dict, path: "str | Path") -> Path:
-    """Persist a benchmark record as pretty-printed JSON."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return out

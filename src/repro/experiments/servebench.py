@@ -1,40 +1,41 @@
 """Serve-farm benchmark: resident scalar serving + shard-scaling farm.
 
-Two measurements back the PR's perf claims, emitted as one
-machine-readable record (``python -m repro bench-servefarm``,
-``benchmarks/bench_servefarm.py``, recorded under
+Two measurements, emitted as one machine-readable record
+(``python -m repro bench-servefarm``, recorded under
 ``benchmarks/results/BENCH_servefarm.json``):
 
 * **Scalar modes** — single ``serve(u, v)`` calls on one network, per
   serving mode: ``resident`` (native kernel owning the tree state across
-  calls) and ``flat`` (the pure-Python array engine).  Modes are
-  interleaved across repeats, CPU time is recorded next to wall clock,
-  best-of is kept, the speedup is CPU-based, and cost totals are
-  cross-checked exactly.
+  calls) and ``flat`` (the pure-Python array engine).  Modes are timed
+  by :func:`~repro.experiments.benchkit.best_of_interleaved` (interleaved
+  repeats, best CPU and wall kept), the speedup is CPU-based, and cost
+  totals are cross-checked exactly.
 * **Farm scaling** — a :class:`~repro.serving.ServeFarm` under keyed Zipf
   traffic at increasing shard counts, recording p50/p99 per-request
   latency and aggregate requests/second two ways: observed wall clock,
   and *capacity* (requests over the busiest shard's summed worker-side
   serve time — the farm's critical path).  The recorded scaling factor
   uses capacity: it is what adding shards buys, and wall clock tracks it
-  exactly when the host has a core per shard (PR 6 precedent: observed
-  speedups are informational — CI boxes vary — while equality gates are
-  hard, so the host's ``cpu_count`` is recorded alongside).  Per-key
+  exactly when the host has a core per shard (observed speedups are
+  informational — CI boxes vary — while equality gates are hard, so the
+  record's provenance block carries the host's ``cpu_count``).  Per-key
   cost totals must agree exactly across shard counts (same keyed
   streams, shard-count-independent discipline).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import time
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core.engine import native_available
 from repro.errors import ExperimentError
+from repro.experiments.benchkit import (
+    all_equal,
+    best_of_interleaved,
+    keyed_stream,
+    require_engines,
+)
 from repro.net.registry import build_network
 from repro.workloads.synthetic import zipf_trace
 
@@ -42,11 +43,11 @@ __all__ = [
     "SCALAR_MODES",
     "default_scalar_modes",
     "servefarm_benchmark",
-    "write_servefarm_record",
 ]
 
-#: Scalar serving modes, fastest first.
+#: Scalar serving modes, fastest first, and the engine each one runs.
 SCALAR_MODES = ("resident", "flat")
+_MODE_ENGINES = {"resident": "native", "flat": "flat"}
 
 
 def default_scalar_modes() -> tuple[str, ...]:
@@ -61,37 +62,27 @@ def default_scalar_modes() -> tuple[str, ...]:
     return ("flat",)
 
 
-def _measure_scalar(mode: str, n: int, k: int, policy: str, sources, targets):
-    """One timed scalar-serve pass; returns (wall, cpu, totals)."""
+def _scalar_run(mode: str, n: int, k: int, policy: str, sources, targets):
+    """Build one network (untimed); return the timed scalar-serve pass."""
     net = build_network(
         "kary-splaynet",
         n=n,
         k=k,
-        engine="flat" if mode == "flat" else "native",
+        engine=_MODE_ENGINES[mode],
         params={"policy": policy},
     )
-    serve = net.serve
-    routing = rotations = links = 0
-    w0 = time.perf_counter()
-    c0 = time.process_time()
-    for u, v in zip(sources, targets):
-        result = serve(u, v)
-        routing += result.routing_cost
-        rotations += result.rotations
-        links += result.links_changed
-    cpu = time.process_time() - c0
-    wall = time.perf_counter() - w0
-    return wall, cpu, (routing, rotations, links)
 
+    def run() -> tuple[int, int, int]:
+        serve = net.serve
+        routing = rotations = links = 0
+        for u, v in zip(sources, targets):
+            result = serve(u, v)
+            routing += result.routing_cost
+            rotations += result.rotations
+            links += result.links_changed
+        return routing, rotations, links
 
-def _keyed_stream(trace, keys: int) -> list:
-    """Deterministic keyed traffic: Zipf requests, keys round-robin."""
-    sources = trace.sources.tolist()
-    targets = trace.targets.tolist()
-    return [
-        (f"key-{i % keys}", sources[i], targets[i])
-        for i in range(len(sources))
-    ]
+    return run
 
 
 def servefarm_benchmark(
@@ -131,17 +122,10 @@ def servefarm_benchmark(
             raise ExperimentError(
                 f"unknown scalar mode {mode!r}; choose from {SCALAR_MODES}"
             )
-    if (
-        any(mode != "flat" for mode in scalar_modes)
-        and not native_available()
-    ):
-        from repro.core import _native
-
-        raise ExperimentError(
-            "the resident scalar mode needs the compiled kernel, which is"
-            f" unavailable ({_native.build_error()}); use"
-            " scalar_modes=('flat',) or fix the toolchain"
-        )
+    require_engines(
+        (_MODE_ENGINES[mode] for mode in scalar_modes),
+        "use scalar_modes=('flat',) or fix the toolchain",
+    )
     shard_counts = tuple(shard_counts)
     if not shard_counts or any(s < 1 for s in shard_counts):
         raise ExperimentError(
@@ -165,8 +149,6 @@ def servefarm_benchmark(
             "keys": keys,
             "window": window,
             "interleaved": True,
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
         },
         "native_available": native_available(),
         "scalar": {"modes": {}},
@@ -178,41 +160,31 @@ def servefarm_benchmark(
         trace = zipf_trace(n, scalar_m, zipf_alpha, seed)
         sources = trace.sources.tolist()
         targets = trace.targets.tolist()
-        best_wall: dict[str, float] = {}
-        best_cpu: dict[str, float] = {}
-        totals: dict[str, tuple[int, int, int]] = {}
-        for _ in range(repeats):
-            for mode in scalar_modes:
-                wall, cpu, mode_totals = _measure_scalar(
-                    mode, n, k, policy, sources, targets
-                )
-                if mode not in best_wall or wall < best_wall[mode]:
-                    best_wall[mode] = wall
-                if mode not in best_cpu or cpu < best_cpu[mode]:
-                    best_cpu[mode] = cpu
-                totals[mode] = mode_totals
-        for mode in scalar_modes:
-            wall, cpu = best_wall[mode], best_cpu[mode]
-            routing, rotations, links = totals[mode]
+        timings = best_of_interleaved(
+            scalar_modes,
+            repeats,
+            lambda mode: _scalar_run(mode, n, k, policy, sources, targets),
+        )
+        for mode, timing in timings.items():
+            routing, rotations, links = timing.result
             result["scalar"]["modes"][mode] = {
-                "seconds": wall,
-                "cpu_seconds": cpu,
-                "requests_per_second": scalar_m / wall,
+                "seconds": timing.wall,
+                "cpu_seconds": timing.cpu,
+                "requests_per_second": scalar_m / timing.wall,
                 "requests_per_second_cpu": (
-                    scalar_m / cpu if cpu > 0 else float("inf")
+                    scalar_m / timing.cpu if timing.cpu > 0 else float("inf")
                 ),
                 "total_routing": routing,
                 "total_rotations": rotations,
                 "total_links_changed": links,
             }
-        if len(totals) > 1:
-            reference = next(iter(totals.values()))
-            result["scalar"]["totals_match"] = all(
-                t == reference for t in totals.values()
-            )
-        if best_cpu.get("resident") and "flat" in best_cpu:
+        match = all_equal(timing.result for timing in timings.values())
+        if match is not None:
+            result["scalar"]["totals_match"] = match
+        resident, flat = timings.get("resident"), timings.get("flat")
+        if resident and flat and resident.cpu > 0:
             result["scalar"]["speedup_resident_over_flat"] = (
-                best_cpu["flat"] / best_cpu["resident"]
+                flat.cpu / resident.cpu
             )
 
     # -- farm scaling (best wall per shard count) -----------------------
@@ -220,7 +192,7 @@ def servefarm_benchmark(
         from repro.serving import ServeFarm
 
         farm_trace = zipf_trace(n, farm_m, zipf_alpha, seed + 1)
-        stream = _keyed_stream(farm_trace, keys)
+        stream = keyed_stream(farm_trace, keys)
         farm_totals: dict[int, tuple[int, int, int]] = {}
         for shards in shard_counts:
             best: Optional[dict] = None
@@ -264,11 +236,9 @@ def servefarm_benchmark(
                 best["total_links_changed"],
             )
             result["farm"]["shards"][str(shards)] = best
-        if len(farm_totals) > 1:
-            reference = next(iter(farm_totals.values()))
-            result["farm"]["totals_match"] = all(
-                t == reference for t in farm_totals.values()
-            )
+        match = all_equal(farm_totals.values())
+        if match is not None:
+            result["farm"]["totals_match"] = match
         base = min(shard_counts)
         base_entry = result["farm"]["shards"][str(base)]
         for shards in shard_counts:
@@ -287,10 +257,3 @@ def servefarm_benchmark(
                 )
     return result
 
-
-def write_servefarm_record(result: dict, path: "str | Path") -> Path:
-    """Persist a benchmark record as pretty-printed JSON."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return out

@@ -16,18 +16,16 @@ Record home: ``benchmarks/results/BENCH_results_store.json`` (see
 
 from __future__ import annotations
 
-import json
 import tempfile
 import time
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.results import JsonlStore, SqliteStore, spec_store_hash
 
 __all__ = [
     "results_store_benchmark",
     "synthetic_results",
-    "write_store_record",
 ]
 
 #: Axes the synthetic campaign cycles through — enough variety that the
@@ -156,10 +154,3 @@ def results_store_benchmark(
         store.close()
     return record
 
-
-def write_store_record(record: dict, path: "str | Path") -> Path:
-    """Persist a benchmark record as pretty-printed JSON."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return out

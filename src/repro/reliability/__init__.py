@@ -29,7 +29,7 @@ corruption detected) and its subclass :class:`~repro.errors.FaultInjected`
 """
 
 from repro.errors import FaultInjected, ReliabilityError
-from repro.reliability.chaos import ChaosConfig, run_chaos, write_chaos_record
+from repro.reliability.chaos import ChaosConfig, run_chaos
 from repro.reliability.faults import (
     FAULTS_ENV,
     FaultPlan,
@@ -58,5 +58,4 @@ __all__ = [
     "inject_faults",
     "install_fault_plan",
     "run_chaos",
-    "write_chaos_record",
 ]

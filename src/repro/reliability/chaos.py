@@ -40,7 +40,6 @@ Run via ``repro chaos --seed S --rounds R``; records go to
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import re
@@ -59,9 +58,14 @@ from repro.errors import (
     IngressOverload,
     ReliabilityError,
 )
+from repro.experiments.benchkit import (
+    batch_totals,
+    clean_totals,
+    keyed_stream,
+)
 from repro.reliability.faults import FAULTS_ENV, FaultPlan, FaultSpec
 
-__all__ = ["ChaosConfig", "run_chaos", "write_chaos_record"]
+__all__ = ["ChaosConfig", "run_chaos"]
 
 _ALGORITHM = "kary-splaynet"
 
@@ -128,13 +132,11 @@ def _keyed_lanes(config: ChaosConfig) -> dict[str, list[tuple[int, int]]]:
 
     total = config.rounds * config.requests_per_round
     trace = zipf_trace(config.n, total, config.zipf_alpha, config.seed)
-    sources = trace.sources.tolist()
-    targets = trace.targets.tolist()
     lanes: dict[str, list[tuple[int, int]]] = {
         f"key-{i}": [] for i in range(config.keys)
     }
-    for i in range(total):
-        lanes[f"key-{i % config.keys}"].append((sources[i], targets[i]))
+    for key, u, v in keyed_stream(trace, config.keys):
+        lanes[key].append((u, v))
     return lanes
 
 
@@ -144,27 +146,6 @@ def _round_slice(pairs: list, rnd: int, rounds: int) -> list:
     start = rnd * per
     end = start + per if rnd < rounds - 1 else len(pairs)
     return pairs[start:end]
-
-
-def _clean_totals(
-    lanes: dict[str, list[tuple[int, int]]], config: ChaosConfig
-) -> list[int]:
-    """Oracle totals: one fresh in-process session per key, in order."""
-    from repro.net.session import open_session
-
-    totals = [0, 0, 0, 0]
-    for key in sorted(lanes):
-        session = open_session(
-            _ALGORITHM, n=config.n, k=config.k, engine=config.engine
-        )
-        batch = session.serve_stream(
-            [u for u, _ in lanes[key]], [v for _, v in lanes[key]]
-        )
-        totals[0] += batch.m
-        totals[1] += batch.total_routing
-        totals[2] += batch.total_rotations
-        totals[3] += batch.total_links_changed
-    return totals
 
 
 def _storm_plan(config: ChaosConfig, ledger: str) -> FaultPlan:
@@ -301,11 +282,9 @@ def _pump_lane(
                     failures.append(f"{key}: {type(exc).__name__}: {exc}")
                 return
             with lock:
-                row = tally[key]
-                row[0] += result.m
-                row[1] += result.total_routing
-                row[2] += result.total_rotations
-                row[3] += result.total_links_changed
+                tally[key] = [
+                    a + b for a, b in zip(tally[key], batch_totals(result))
+                ]
                 counters["served"] += 1
             break
 
@@ -396,7 +375,13 @@ def _kill_and_observe(
 def run_chaos(config: ChaosConfig) -> dict:
     """Run one seeded soak; return a JSON-serializable invariant report."""
     lanes = _keyed_lanes(config)
-    clean = _clean_totals(lanes, config)
+    clean = clean_totals(
+        ((key, u, v) for key, pairs in lanes.items() for u, v in pairs),
+        _ALGORITHM,
+        config.n,
+        config.k,
+        engine=config.engine,
+    )
     total_requests = sum(len(pairs) for pairs in lanes.values())
 
     report: dict[str, Any] = {
@@ -541,10 +526,3 @@ def run_chaos(config: ChaosConfig) -> dict:
     )
     return report
 
-
-def write_chaos_record(result: dict, path: "str | Path") -> Path:
-    """Persist a soak record as pretty-printed JSON."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return out

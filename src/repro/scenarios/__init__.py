@@ -7,11 +7,12 @@ the paper's Tables 1–8 and Remark 10 (plus any user-registered campaign)
 into spec lists; :func:`run_specs` executes any spec list serially or
 across worker processes with per-worker trace memoization and the best
 available tree engine (native where the C kernel builds, flat otherwise)
-as the online default; :class:`JsonlResultSink` streams results to
-``benchmarks/results/``.
+as the online default; results stream to ``benchmarks/results/``
+through the :mod:`repro.results` stores, whose JSONL helpers and path
+conventions this package re-exports.
 
 The classic experiment entry points (``repro.experiments.tables``,
-``run_all``, the parallel runners, simulation sweeps) are thin adapters
+``run_all``, simulation sweeps) are thin adapters
 over this package — same result objects, one execution core.
 
 Typical use::
@@ -45,8 +46,7 @@ from repro.scenarios.core import (
     run_scenario,
     run_specs,
 )
-from repro.scenarios.sink import (
-    JsonlResultSink,
+from repro.results import (
     default_results_path,
     iter_results_jsonl,
     read_results_jsonl,
@@ -77,7 +77,6 @@ __all__ = [
     "run_scenario",
     "run_cells",
     "run_specs",
-    "JsonlResultSink",
     "default_results_path",
     "iter_results_jsonl",
     "read_results_jsonl",

@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro.scenarios.core import ScenarioResult
-from repro.scenarios.sink import results_root
+from repro.results.paths import results_root
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [

@@ -352,7 +352,7 @@ def _seed_resume(
     path = getattr(sink, "path", None)
     if path is None:
         raise ExperimentError(
-            "resume=True needs a path-backed sink (e.g. JsonlResultSink"
+            "resume=True needs a path-backed sink (e.g. JsonlStore"
             " or SqliteStore) so completed cells can be recovered from"
             " its record"
         )

@@ -155,6 +155,7 @@ def _heartbeat_loop(hb_conn, interval: float, stop) -> None:
 def _worker_main(
     conn,
     hb_conn,
+    inherited: tuple,
     spec_data: dict,
     shard_index: int,
     hb_interval: float,
@@ -176,10 +177,18 @@ def _worker_main(
     with ``covered`` the key's total served requests at the cut — always
     a batch boundary, so the parent can prune its journal exactly).
 
-    Liveness is out of band: when ``hb_interval > 0`` a daemon thread
-    beats on ``hb_conn`` so a stuck or dead worker is visible to the
+    Liveness is out of band: a daemon thread beats on ``hb_conn`` every
+    ``hb_interval`` seconds so a stuck or dead worker is visible to the
     supervisor without touching the command pipe.
+
+    ``inherited`` holds the parent's ends of this worker's two pipes,
+    which a forked child inherits.  They are closed first thing: while
+    the worker holds them, ``conn.recv()`` never sees EOF, so a farm
+    process that dies without ``close()`` (a ``kill`` fault, an OOM kill)
+    would leave the worker running forever.
     """
+    for end in inherited:
+        end.close()
     # Imports inside the worker: with the spawn start method this module
     # is re-imported fresh, and the kernel loads (or degrades to flat)
     # per process.
@@ -187,13 +196,12 @@ def _worker_main(
     from repro.reliability.faults import fire_fault, kill_process
 
     stop_beat = threading.Event()
-    if hb_conn is not None and hb_interval > 0:
-        threading.Thread(
-            target=_heartbeat_loop,
-            args=(hb_conn, hb_interval, stop_beat),
-            daemon=True,
-            name=f"repro-heartbeat-{shard_index}",
-        ).start()
+    threading.Thread(
+        target=_heartbeat_loop,
+        args=(hb_conn, hb_interval, stop_beat),
+        daemon=True,
+        name=f"repro-heartbeat-{shard_index}",
+    ).start()
 
     sessions: dict[Any, Any] = {}
     served_total: dict[Any, int] = {}
@@ -323,11 +331,12 @@ class ServeFarm:
     plus keyword arguments.  One session is opened lazily per key in the
     owning worker.  Use as a context manager to guarantee teardown.
 
-    ``health`` configures heartbeat supervision (default on with
-    conservative deadlines; ``HealthConfig(enabled=False)`` restores the
-    unsupervised farm).  ``checkpoint_every=N`` turns on warm-standby
-    recovery: replay after a respawn is bounded by the checkpoint
-    cadence instead of the full journal.
+    ``health`` sets the heartbeat supervision deadlines (conservative
+    by default).  Reactive journal replay stays underneath supervision:
+    a dispatch can hit a dead worker before the supervisor notices.
+    ``checkpoint_every=N`` turns on warm-standby recovery: replay after
+    a respawn is bounded by the checkpoint cadence instead of the full
+    journal.
     """
 
     def __init__(
@@ -374,11 +383,7 @@ class ServeFarm:
         self.router = ShardRouter(shards)
         self.metrics = FarmMetrics()
         self.health_config = health or HealthConfig()
-        self.health: Optional[HealthMonitor] = (
-            HealthMonitor(shards, self.health_config)
-            if self.health_config.enabled
-            else None
-        )
+        self.health = HealthMonitor(shards, self.health_config)
         #: Per shard: ``{key: [(sources, targets), ...]}`` — every
         #: acknowledged batch not yet covered by a snapshot, in serve
         #: order (order across keys is immaterial: sessions are
@@ -406,7 +411,11 @@ class ServeFarm:
         # serve_grouped): aggregate metrics and the respawn budget are
         # the only cross-shard state touched on the dispatch path.
         self._metrics_lock = threading.Lock()
-        self._supervisor: Optional[threading.Thread] = None
+        self._supervisor = threading.Thread(
+            target=self._supervise,
+            daemon=True,
+            name="repro-farm-supervisor",
+        )
         self._stop_supervisor = threading.Event()
         try:
             for shard in range(shards):
@@ -416,13 +425,7 @@ class ServeFarm:
             # ones: close the partial farm before re-raising.
             self.close()
             raise
-        if self.health is not None:
-            self._supervisor = threading.Thread(
-                target=self._supervise,
-                daemon=True,
-                name="repro-farm-supervisor",
-            )
-            self._supervisor.start()
+        self._supervisor.start()
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "ServeFarm":
@@ -439,21 +442,18 @@ class ServeFarm:
 
     def _start_worker(self, shard: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
-        hb_parent = hb_child = None
-        hb_interval = 0.0
-        if self.health is not None:
-            # Dedicated one-way liveness pipe: worker writes, parent
-            # reads.  EOF on it is the fastest possible death signal.
-            hb_parent, hb_child = self._ctx.Pipe(duplex=False)
-            hb_interval = self.health_config.interval
+        # Dedicated one-way liveness pipe: worker writes, parent reads.
+        # EOF on it is the fastest possible death signal.
+        hb_parent, hb_child = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
                 child_conn,
                 hb_child,
+                (parent_conn, hb_parent),
                 self._spec_data,
                 shard,
-                hb_interval,
+                self.health_config.interval,
                 self.checkpoint_every,
             ),
             daemon=True,
@@ -461,8 +461,7 @@ class ServeFarm:
         )
         proc.start()
         child_conn.close()
-        if hb_child is not None:
-            hb_child.close()
+        hb_child.close()
         self._procs[shard] = proc
         self._conns[shard] = parent_conn
         self._hb_conns[shard] = hb_parent
@@ -475,11 +474,10 @@ class ServeFarm:
         self._stop_supervisor.set()
         supervisor = self._supervisor
         if (
-            supervisor is not None
+            supervisor.is_alive()
             and supervisor is not threading.current_thread()
         ):
             supervisor.join(timeout=5.0)
-        self._supervisor = None
         for shard in range(self.shards):
             conn = self._conns[shard]
             if conn is None:
@@ -595,9 +593,7 @@ class ServeFarm:
         ]
 
     def health_states(self) -> list[str]:
-        """Per-shard health (all ``healthy`` when supervision is off)."""
-        if self.health is None:
-            return [HEALTHY] * self.shards
+        """Per-shard health."""
         return self.health.states()
 
     # -- fault recovery ------------------------------------------------
@@ -614,14 +610,12 @@ class ServeFarm:
                 self.respawns += 1
                 spent = self.respawns
             if spent > self.max_respawns:
-                if self.health is not None:
-                    self.health.mark(shard, DOWN)
+                self.health.mark(shard, DOWN)
                 raise ReliabilityError(
                     f"serve farm gave up after {self.max_respawns}"
                     f" respawn(s): shard {shard} keeps dying"
                 )
-            if self.health is not None:
-                self.health.mark(shard, RECOVERING)
+            self.health.mark(shard, RECOVERING)
             old_conn = self._conns[shard]
             if old_conn is not None:
                 old_conn.close()
@@ -657,8 +651,7 @@ class ServeFarm:
                     conn.send(("restore", restores))
                     reply = conn.recv()
                     if reply[0] == "error":
-                        if self.health is not None:
-                            self.health.mark(shard, DOWN)
+                        self.health.mark(shard, DOWN)
                         raise ReliabilityError(
                             f"serve farm shard {shard} failed snapshot"
                             f" restore: {reply[1]}"
@@ -673,8 +666,7 @@ class ServeFarm:
                     conn.send(("serve", batches, True))
                     reply = conn.recv()
                     if reply[0] == "error":
-                        if self.health is not None:
-                            self.health.mark(shard, DOWN)
+                        self.health.mark(shard, DOWN)
                         raise ReliabilityError(
                             f"serve farm shard {shard} failed during"
                             f" journal replay: {reply[1]}"
@@ -691,8 +683,7 @@ class ServeFarm:
                     "proactive" if proactive else "reactive"
                 ] += 1
                 self.shard_recoveries[shard] += 1
-            if self.health is not None:
-                self.health.mark(shard, HEALTHY)
+            self.health.mark(shard, HEALTHY)
 
     # -- dispatch ------------------------------------------------------
     def _send_serve(self, shard: int, batches) -> None:

@@ -9,10 +9,10 @@ import pytest
 from repro.cli import main
 from repro.core.engine import native_available
 from repro.errors import ExperimentError
+from repro.experiments.benchkit import write_record
 from repro.experiments.hotpath import (
     default_hotpath_engines,
     hotpath_benchmark,
-    write_hotpath_record,
 )
 
 
@@ -79,7 +79,7 @@ class TestHotpathBenchmark:
 
     def test_record_writer(self, tmp_path):
         result = hotpath_benchmark(n=16, k=2, m=80)
-        out = write_hotpath_record(result, tmp_path / "rec" / "bench.json")
+        out = write_record(result, tmp_path / "rec" / "bench.json")
         loaded = json.loads(out.read_text())
         assert loaded["config"]["n"] == 16
 

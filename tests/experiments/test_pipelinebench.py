@@ -8,10 +8,8 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ExperimentError
-from repro.experiments.pipelinebench import (
-    reproduce_pipeline_benchmark,
-    write_pipeline_record,
-)
+from repro.experiments.benchkit import write_record
+from repro.experiments.pipelinebench import reproduce_pipeline_benchmark
 
 
 class TestReproducePipelineBenchmark:
@@ -48,7 +46,7 @@ class TestReproducePipelineBenchmark:
         record = reproduce_pipeline_benchmark(
             "smoke", tables=(7,), repeats=1, engines=("flat",)
         )
-        out = write_pipeline_record(record, tmp_path / "rec" / "bench.json")
+        out = write_record(record, tmp_path / "rec" / "bench.json")
         loaded = json.loads(out.read_text())
         assert loaded["config"]["scale"] == "smoke"
         assert loaded["config"]["tables"] == [7]

@@ -9,10 +9,10 @@ import pytest
 from repro.cli import main
 from repro.core.engine import native_available
 from repro.errors import ExperimentError
+from repro.experiments.benchkit import write_record
 from repro.experiments.servebench import (
     default_scalar_modes,
     servefarm_benchmark,
-    write_servefarm_record,
 )
 from repro.experiments.trajectory import (
     load_benchmark_records,
@@ -99,7 +99,7 @@ class TestServefarmBenchmark:
 class TestTrajectoryReport:
     def _write_records(self, directory):
         directory.mkdir(parents=True, exist_ok=True)
-        write_servefarm_record(
+        write_record(
             {
                 "benchmark": "demo",
                 "speedup_fast_over_slow": 12.5,
@@ -112,7 +112,7 @@ class TestTrajectoryReport:
             },
             directory / "BENCH_demo.json",
         )
-        write_servefarm_record(
+        write_record(
             {"benchmark": "empty", "config": {"n": 4}},
             directory / "BENCH_empty.json",
         )
@@ -154,12 +154,18 @@ class TestTrajectoryReport:
                 "-o", str(out),
             ]
         )
-        assert code == 0
+        # BENCH_demo.json carries a false nested check: report, then fail.
+        assert code == 1
         assert out.read_text().startswith("# Performance trajectory")
-        assert "12.50x" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "12.50x" in captured.out
+        assert "BENCH_demo.json nested.summaries_match" in captured.err
+        (tmp_path / "results" / "BENCH_demo.json").unlink()
+        assert main(["bench-report", "--results-dir", str(tmp_path / "results")]) == 0
 
     def test_repo_results_directory_renders(self):
         """The checked-in benchmarks/results records stay renderable."""
         text = render_trajectory()
         assert "BENCH_servefarm.json" in text
         assert "scaling_2_over_1" in text
+        assert "**FAIL**" not in text

@@ -8,8 +8,8 @@ import pytest
 
 from repro.core.engine import best_available_engine
 from repro.errors import ExperimentError
+from repro.results import JsonlStore
 from repro.scenarios import (
-    JsonlResultSink,
     ResultCache,
     ScenarioSpec,
     read_results_jsonl,
@@ -104,7 +104,7 @@ class TestCachedEqualsFresh:
         path = tmp_path / "results.jsonl"
         specs = [spec(k=2), spec(k=3)]
         run_specs(specs, cache=cache)
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             results = run_specs(specs, cache=cache, sink=sink)
         assert read_results_jsonl(path) == results
         assert cache.hits == len(specs)

@@ -14,8 +14,8 @@ from repro.parallel import (
     run_scenario_sweep,
     trace_cache_stats,
 )
+from repro.results import JsonlStore
 from repro.scenarios import (
-    JsonlResultSink,
     ScenarioResult,
     ScenarioSpec,
     read_results_jsonl,
@@ -162,13 +162,13 @@ class TestSink:
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "results.jsonl"
         specs = [spec(k=2), spec(algorithm="full-tree", k=2)]
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             results = run_specs(specs, sink=sink)
             assert sink.count == len(specs)
         assert read_results_jsonl(path) == results
 
     def test_sink_opens_lazily(self, tmp_path):
-        sink = JsonlResultSink(tmp_path / "sub" / "never.jsonl")
+        sink = JsonlStore(tmp_path / "sub" / "never.jsonl")
         sink.close()
         assert not (tmp_path / "sub").exists()
 
@@ -178,7 +178,7 @@ class TestSink:
         # (ValueError on the zipf parameter) — the first cell's line must
         # already be on disk.
         specs = [spec(k=2), spec(workload="zipf-oops", seed=1)]
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             with pytest.raises(ExperimentError):
                 run_specs(specs, sink=sink)
         survivors = read_results_jsonl(path)
@@ -191,17 +191,17 @@ class TestSink:
         path = tmp_path / "campaign.jsonl"
         first = [spec(k=2)]
         second = [spec(k=3), spec(algorithm="full-tree", k=2)]
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             batch1 = run_specs(first, sink=sink)
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             batch2 = run_specs(second, sink=sink)
         assert read_results_jsonl(path) == batch1 + batch2
 
     def test_overwrite_sink_truncates(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             run_specs([spec(k=2)], sink=sink)
-        with JsonlResultSink(path, overwrite=True) as sink:
+        with JsonlStore(path, overwrite=True) as sink:
             replacement = run_specs([spec(k=3)], sink=sink)
         assert read_results_jsonl(path) == replacement
 
@@ -233,15 +233,15 @@ class TestResultsPaths:
         assert results_root() == root / "benchmarks" / "results"
 
     def test_falls_back_to_package_checkout_outside_any_repo(self, monkeypatch):
-        import repro.scenarios.sink as sink_module
+        import repro.results.paths as paths_module
 
         monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
         from pathlib import Path
 
         nowhere = Path("/nonexistent") / "deeply" / "nested" / "cwd"
-        expected = Path(sink_module.__file__).resolve().parents[3]
+        expected = Path(paths_module.__file__).resolve().parents[3]
         assert (
-            sink_module.results_root(nowhere)
+            paths_module.results_root(nowhere)
             == expected / "benchmarks" / "results"
         )
 

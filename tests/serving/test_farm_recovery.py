@@ -12,6 +12,11 @@ from __future__ import annotations
 
 import os
 import random
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -143,3 +148,57 @@ class TestWorkerKillRecovery:
         finally:
             os.environ.pop(FAULTS_ENV, None)
             clear_fault_plan()
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie awaiting its reaper counts as dead)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal-0 probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestFarmProcessDeath:
+    def test_workers_exit_when_the_farm_process_dies_without_close(self):
+        """A farm process killed without ``close()`` (a ``kill`` fault's
+        hard exit, an OOM kill) must not leave its workers running."""
+        script = (
+            "import os\n"
+            "from repro.serving import ServeFarm\n"
+            "farm = ServeFarm('kary-splaynet', n=16, k=2, shards=2)\n"
+            "farm.serve('a', 1, 9)\n"
+            "print(*farm.shard_pids(), flush=True)\n"
+            "os._exit(0)\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        # Read one line and wait for the exit, never for stdout EOF: a
+        # leaked worker would hold the pipe open.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            text=True,
+        )
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        leaked = [pid for pid in pids if _alive(pid)]
+        for pid in leaked:  # never leave them behind, even on failure
+            os.kill(pid, signal.SIGKILL)
+        assert leaked == []
