@@ -1,14 +1,17 @@
-"""Build-and-load layer for the native serve kernel.
+"""Build-and-load layer for the native kernel.
 
-``kernel.c`` (shipped next to this module) has no dependency on Python.h,
+``kernel.c`` (shipped next to this module) holds the k-ary SplayNet serve
+loop and the forward pass of the optimal-tree DP (``repro_dp_forward``,
+used by :mod:`repro.optimal.general`).  It has no dependency on Python.h,
 so it compiles with any C toolchain: this module builds it into a shared
 library with ``cc -O3 -shared -fPIC``, caches the result under a
 content-addressed name, and loads it through :mod:`ctypes`.  Everything is
 best-effort — any failure (no compiler, read-only filesystem, a kernel
 source that does not compile, ``REPRO_NATIVE=0``) leaves the process in
-the *unavailable* state, recorded in :func:`build_error`, and the engine
+the *unavailable* state, recorded in :func:`build_error`: the engine
 layer degrades to the pure-Python flat backend (see
-:func:`repro.core.engine.resolve_engine`).
+:func:`repro.core.engine.resolve_engine`) and the DP to its NumPy forward
+pass.
 
 Environment knobs:
 
@@ -54,8 +57,9 @@ MAX_NATIVE_K = 40
 
 #: Expected ``repro_kernel_abi()`` value; stale cached shared objects that
 #: report a different version are rebuilt.  Version 2 added the
-#: resident-tree handle API; version 3 removed the stateless batch entry.
-_ABI_VERSION = 3
+#: resident-tree handle API; version 3 removed the stateless batch entry;
+#: version 4 added the optimal-tree DP forward pass ``repro_dp_forward``.
+_ABI_VERSION = 4
 
 _COMPILERS = ("cc", "gcc", "clang")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-fvisibility=default")
@@ -190,6 +194,15 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     fn = lib.repro_tree_destroy
     fn.restype = None
     fn.argtypes = (ctypes.c_void_p,)
+    fn = lib.repro_dp_forward
+    fn.restype = ctypes.c_int64
+    fn.argtypes = (
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # k
+        ctypes.c_void_p,  # w, int64 (n + 1, n + 1)
+        ctypes.c_void_p,  # b, int64 (k + 1, n + 1, n + 2), filled
+        ctypes.c_int64,  # inf sentinel
+    )
     return lib
 
 

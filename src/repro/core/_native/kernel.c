@@ -1,6 +1,7 @@
-/* Native serve kernel for the k-ary SplayNet hot loop.
+/* Native kernel: the k-ary SplayNet serve hot loop and the forward pass
+ * of the Theorem 2 optimal-tree DP.
  *
- * This file is a statement-for-statement translation of the depth-2
+ * Serve path.  A statement-for-statement translation of the depth-2
  * k-splay serve path of ``repro.core.flat.FlatTree`` (``serve_one`` ->
  * ``lca`` + ``splay_until`` -> ``semi_splay_fast`` / ``splay_fast``):
  * the epoch-stamped LCA walk, the k-semi-splay and k-splay rotation
@@ -20,6 +21,11 @@
  * and the tests/net hypothesis sweeps).  When editing, change flat.py
  * first, then mirror here.
  *
+ * DP forward pass.  ``repro_dp_forward`` fills the exact int64 table of
+ * ``repro.optimal.general._forward_numpy`` (same recurrence, same
+ * additions, bit-identical entries), stored ``[t][L][i]`` so that both
+ * operands of every inner minimum are contiguous in the segment start i.
+ *
  * Built by repro.core._native with ``cc -O3 -shared -fPIC``; no Python.h
  * dependency, so any C toolchain works.
  */
@@ -37,8 +43,9 @@
  * Python loader refuses stale cached shared objects that report a
  * different version.  Version 2 added the resident-tree handle API
  * (repro_tree_create / load / serve_batch / serve_one / sync_out /
- * destroy); version 3 removed the stateless batch entry. */
-#define RK_ABI_VERSION 3
+ * destroy); version 3 removed the stateless batch entry; version 4 added
+ * the optimal-tree DP forward pass (repro_dp_forward). */
+#define RK_ABI_VERSION 4
 
 int64_t repro_kernel_abi(void) { return RK_ABI_VERSION; }
 
@@ -982,4 +989,61 @@ void repro_tree_destroy(void *handle)
     free(t->parent);
     free(t->routing);
     free(t);
+}
+
+/* ------------------------------------------------------------------ */
+/* Optimal-tree DP forward pass (Theorem 2, Appendix A.1)              */
+/* ------------------------------------------------------------------ */
+
+/* acc[i] = min(acc[i], a[i] + c[i]) for i < m. */
+static void rk_dp_minsum(int64_t *restrict acc, const int64_t *restrict a,
+                         const int64_t *restrict c, int64_t m)
+{
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t v = a[i] + c[i];
+        acc[i] = (v < acc[i]) ? v : acc[i];
+    }
+}
+
+/* Fill the DP table b, shape (k + 1, n + 1, n + 2) indexed [t][L][i]:
+ * B[t][L][i] is the minimum cost of covering the segment of length L at
+ * 0-based start i with at most t routing-based k-ary trees.  w is the
+ * boundary-crossing matrix, shape (n + 1, n + 1) indexed [i][L].  Every
+ * entry of b is written: 0 for L = 0 (t >= 1), the DP value for
+ * i + L <= n (t >= 1), inf everywhere else.  All values stay below
+ * 2 * inf, so the int64 sums cannot wrap.  Returns 0 on success, 1 on
+ * invalid arguments (b is then left untouched). */
+int64_t repro_dp_forward(int64_t n, int64_t k, const int64_t *w, int64_t *b,
+                         int64_t inf)
+{
+    if (n < 0 || k < 2 || !w || !b)
+        return 1;
+    const int64_t row = n + 2;              /* stride of L */
+    const int64_t layer = (n + 1) * row;    /* stride of t */
+#define RK_B(t, len) (b + (t) * layer + (len) * row)
+    for (int64_t idx = 0; idx < (k + 1) * layer; idx++)
+        b[idx] = inf;
+    for (int64_t t = 1; t <= k; t++)
+        memset(RK_B(t, 0), 0, (size_t)row * sizeof(int64_t));
+    for (int64_t len = 1; len <= n; len++) {
+        const int64_t m = n - len + 1;      /* segment starts 0 .. m-1 */
+        /* Single tree: root i + s, dl trees on the left, k - dl right. */
+        int64_t *single = RK_B(1, len);
+        for (int64_t s = 0; s < len; s++)
+            for (int64_t dl = 1; dl < k; dl++)
+                rk_dp_minsum(single, RK_B(dl, s),
+                             RK_B(k - dl, len - 1 - s) + s + 1, m);
+        for (int64_t i = 0; i < m; i++)
+            single[i] += w[i * (n + 1) + len];
+        /* Forests: at most t trees, the first of length s. */
+        for (int64_t t = 2; t <= k; t++) {
+            int64_t *forest = RK_B(t, len);
+            memcpy(forest, RK_B(t - 1, len), (size_t)m * sizeof(int64_t));
+            for (int64_t s = 1; s < len; s++)
+                rk_dp_minsum(forest, RK_B(1, s), RK_B(t - 1, len - s) + s,
+                             m);
+        }
+    }
+#undef RK_B
+    return 0;
 }

@@ -7,8 +7,9 @@ Two measurements, recorded together in ``BENCH_optimal_dp.json``:
   against the DP subsystem (exact int64 forward pass sharing one
   :class:`~repro.optimal.context.DemandContext` across the arity sweep),
   on the scale's DP-dominated demand (facebook, n = 1024 at quick scale).
-  Costs are cross-checked, so the benchmark doubles as an equivalence
-  check at pipeline scale.
+  ``dp.forward`` names the subsystem's forward pass (``"native"`` kernel
+  or ``"numpy"`` fallback).  Costs are cross-checked, so the benchmark
+  doubles as an equivalence check at pipeline scale.
 * **Result-cache trajectory** — one DP-dominated table campaign run cold
   (empty cache directory, every cell computed and stored) and then warm
   (same directory, cells served from the cache), with the per-cell
@@ -26,6 +27,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.core import _native
 from repro.errors import ExperimentError
 from repro.experiments.presets import get_scale
 from repro.optimal.context import DemandContext, clear_context_cache
@@ -112,6 +114,8 @@ def optimal_dp_benchmark(
         subsystem_total += cpu
         per_k[str(k)] = {"subsystem_cpu_seconds": cpu}
     dp: dict = {
+        # Which forward pass the subsystem timings measure.
+        "forward": "native" if _native.available() else "numpy",
         "per_k": per_k,
         "subsystem_cpu_seconds": subsystem_total,
     }

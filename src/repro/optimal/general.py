@@ -11,17 +11,27 @@ Dynamic programming over identifier segments, exactly as in Appendix A.1:
   joins the routing array, ``dl`` child trees on ``[i, r)`` and ``k - dl``
   on ``(r, i+L)`` — the routing-based constraint ``dl + dr <= k``.
 
-The forward pass is exact int64 NumPy (a ``2^61`` sentinel plays infinity;
-:mod:`repro.optimal.context` rejects demands whose costs could reach it).
-For each length the two inner reductions run over *diagonal* slices of
-``B`` (entry ``[i+s, L-s]`` for fixed ``L``) which ``as_strided`` exposes
-as 2-D views, reduced one arity-split at a time into preallocated
-buffers — O(n·k) NumPy dispatches while the arithmetic stays the paper's
-O(n³k).  Demand-derived inputs (dense demand, the boundary-crossing
-matrix, the short single-tree layers that are arity-independent) live in
-a :class:`~repro.optimal.context.DemandContext` shared across every arity
+The forward pass is exact int64 (a ``2^61`` sentinel plays infinity;
+:mod:`repro.optimal.context` rejects demands whose costs could reach it)
+and has two bit-identical implementations:
+
+* the native kernel's ``repro_dp_forward`` (:mod:`repro.core._native`),
+  used whenever the kernel loads.  It stores the table ``[t, L, i]`` so
+  both operands of every inner minimum are contiguous in ``i``; the
+  caller sees a transposed ``[t, i, L]`` view.
+* :func:`_forward_numpy`, the fallback on machines without a compiler
+  (or under ``REPRO_NATIVE=0``) and the in-process oracle.  For each
+  length the two inner reductions run over *diagonal* slices of ``B``
+  (entry ``[i+s, L-s]`` for fixed ``L``) which ``as_strided`` exposes as
+  2-D views — O(n·k) NumPy dispatches while the arithmetic stays the
+  paper's O(n³k).
+
+Demand-derived inputs (dense demand, the boundary-crossing matrix, the
+short single-tree layers that are arity-independent) live in a
+:class:`~repro.optimal.context.DemandContext` shared across every arity
 of a sweep.  Reconstruction re-derives the argmins on the O(n) visited
-segments only, with exact integer equality.
+segments only (one NumPy argmin per segment), with exact integer
+equality.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from repro.core import _native
 from repro.core.keyspace import pad_values
 from repro.core.node import KAryNode
 from repro.core.tree import KAryTreeNetwork
@@ -83,7 +94,50 @@ def _resolve_context(demand, context: Optional[DemandContext]) -> DemandContext:
 
 
 def _forward(ctx: DemandContext, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run the DP forward pass on a context; returns ``(B, W)``."""
+    """Run the DP forward pass on a context; returns ``(B, W)``.
+
+    Uses the native kernel when it loads (the first call builds or loads
+    it), else :func:`_forward_numpy`; both give the same table.
+    """
+    if k < 2:
+        raise OptimizationError(f"arity k must be >= 2, got {k}")
+    lib = _native.load_kernel()
+    if lib is None:
+        return _forward_numpy(ctx, k)
+    n = ctx.n
+    table = np.empty((k + 1, n + 1, n + 2), dtype=np.int64)
+    _native_forward_into(lib, ctx.w, table)
+    b = table.transpose(0, 2, 1)
+    ctx.offer(k, b[1])
+    return b, ctx.w
+
+
+def _native_forward_into(lib, w: np.ndarray, table: np.ndarray) -> None:
+    """Fill ``table`` (``[t, L, i]``, shape ``(k+1, n+1, n+2)``) natively.
+
+    The buffers are checked here because the C side trusts them blindly.
+    """
+    for name, arr in (("w", w), ("table", table)):
+        if arr.dtype != np.int64 or not arr.flags.c_contiguous:
+            raise OptimizationError(
+                f"native DP needs a C-contiguous int64 {name}, got "
+                f"{arr.dtype} (c_contiguous={arr.flags.c_contiguous})"
+            )
+    if table.ndim != 3 or table.shape[0] < 3:
+        raise OptimizationError(f"native DP table has shape {table.shape}")
+    k = table.shape[0] - 1
+    n = table.shape[1] - 1
+    if table.shape[2] != n + 2 or w.shape != (n + 1, n + 1):
+        raise OptimizationError(
+            f"native DP shapes disagree: table {table.shape}, w {w.shape}"
+        )
+    rc = lib.repro_dp_forward(n, k, w.ctypes.data, table.ctypes.data, int(INT_INF))
+    if rc != 0:
+        raise OptimizationError(f"native DP forward pass failed (code {rc})")
+
+
+def _forward_numpy(ctx: DemandContext, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The NumPy forward pass: the no-compiler fallback and the oracle."""
     if k < 2:
         raise OptimizationError(f"arity k must be >= 2, got {k}")
     n = ctx.n
@@ -169,23 +223,23 @@ def optimal_static_cost_table(
 def _single_tree_choice(
     b: np.ndarray, w: np.ndarray, i: int, length: int, k: int
 ) -> tuple[int, int]:
-    """Recover ``(s, dl)`` attaining ``B[1, i, L]``."""
-    best_val = int(INT_INF)
-    best = (0, 1)
-    for s in range(length):
-        rest = length - 1 - s
-        for dl in range(1, k):
-            val = int(b[dl, i, s]) + int(b[k - dl, i + s + 1, rest])
-            if val < best_val:
-                best_val = val
-                best = (s, dl)
+    """Recover ``(s, dl)`` attaining ``B[1, i, L]``.
+
+    Ties go to the first minimum in s-major order (smallest ``s``, then
+    smallest ``dl``).
+    """
+    s = np.arange(length)
+    # vals[s, dl - 1] = B[dl, i, s] + B[k - dl, i + s + 1, L - 1 - s]
+    vals = (b[1:k, i, :length] + b[k - 1 : 0 : -1, i + 1 + s, length - 1 - s]).T
+    best_s, d = divmod(int(np.argmin(vals)), k - 1)
+    best_val = int(vals[best_s, d])
     target = int(b[1, i, length]) - int(w[i, length])
     if best_val != target:
         raise OptimizationError(
             f"reconstruction mismatch at segment ({i}, {length}):"
             f" {best_val} != {target}"
         )
-    return best
+    return best_s, d + 1
 
 
 def _partition(
@@ -200,16 +254,13 @@ def _partition(
         if b[t, i, length] >= b[t - 1, i, length]:
             t -= 1
             continue
-        t_table = b[1]
-        best_val = int(INT_INF)
-        best_s = length
-        for s in range(1, length):
-            val = int(t_table[i, s]) + int(b[t - 1, i + s, length - s])
-            if val < best_val:
-                best_val = val
-                best_s = s
-        if best_s == length:  # pragma: no cover - defensive
+        s = np.arange(1, length)
+        # vals[s - 1] = B[1, i, s] + B[t - 1, i + s, L - s]
+        vals = b[1, i, 1:length] + b[t - 1, i + s, length - s]
+        pos = int(np.argmin(vals))
+        if vals[pos] >= INT_INF:  # pragma: no cover - defensive
             raise OptimizationError("partition backtrack failed")
+        best_s = pos + 1
         parts.append((i, best_s))
         i += best_s
         length -= best_s
@@ -257,7 +308,8 @@ def optimal_static_tree(
     """Theorem 2: optimal static routing-based k-ary search tree network.
 
     ``demand`` is a :class:`DemandMatrix` or a dense 0-indexed count array.
-    Runs in O(n³k) arithmetic / O(n k) NumPy dispatches and O(n²k) memory;
+    Runs in O(n³k) arithmetic (native, or O(n k) NumPy dispatches without
+    the kernel) and O(n²k) memory;
     ``context`` (default: the process-memoized one for this demand; an
     explicit one must be built from this demand) shares the
     demand-derived inputs across the arities of a sweep.

@@ -96,6 +96,53 @@ class TestReconstruction:
             assert node.degree <= 3
 
 
+def loop_single_tree_choice(b, i, length, k):
+    """Per-(s, dl) loop form of ``_single_tree_choice``'s argmin."""
+    best_val, best = None, None
+    for s in range(length):
+        for dl in range(1, k):
+            val = int(b[dl, i, s]) + int(b[k - dl, i + s + 1, length - 1 - s])
+            if best_val is None or val < best_val:
+                best_val, best = val, (s, dl)
+    return best
+
+
+def loop_partition_split(b, i, length, t):
+    """Per-s loop form of one ``_partition`` split of ``B[t, i, L]``."""
+    best_val, best_s = None, None
+    for s in range(1, length):
+        val = int(b[1, i, s]) + int(b[t - 1, i + s, length - s])
+        if best_val is None or val < best_val:
+            best_val, best_s = val, s
+    return best_s
+
+
+class TestVectorisedArgmins:
+    """The NumPy argmins keep the loops' s-major first-minimum tie-break."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("hi", [2, 6])  # hi=2: many ties
+    def test_match_the_loop_forms_on_every_segment(self, k, hi, rng):
+        from repro.optimal.context import DemandContext
+        from repro.optimal.general import (
+            _forward,
+            _partition,
+            _single_tree_choice,
+        )
+
+        n = 14
+        b, w = _forward(DemandContext.from_demand(random_demand(rng, n, hi)), k)
+        for length in range(1, n + 1):
+            for i in range(n - length + 1):
+                assert _single_tree_choice(
+                    b, w, i, length, k
+                ) == loop_single_tree_choice(b, i, length, k)
+                for t in range(2, k + 1):
+                    if b[t, i, length] < b[t - 1, i, length]:
+                        split = _partition(b, i, length, t)[0][1]
+                        assert split == loop_partition_split(b, i, length, t)
+
+
 class TestOptimality:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_beats_every_static_baseline(self, k, rng):
