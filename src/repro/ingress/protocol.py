@@ -31,6 +31,17 @@ script) can drive a serve farm over a socket:
 Integers are unsigned big-endian throughout; keys are UTF-8 text (u16
 length prefix); node ids are u32; cost totals are u64 (they are sums of
 per-request costs and outgrow u32 on long streams).
+
+A serve request's pairs travel interleaved (``u0 v0 u1 v1 ...``).  The
+decoder does not unpack them one by one: :attr:`Request.sources` and
+:attr:`Request.targets` are read-only strided ``>u4`` views of one
+:func:`numpy.frombuffer` over the payload, which the gateway hands to the
+serve farm without copying them into Python ints.
+
+Decoding is total: any byte string decodes to a value or raises
+:class:`~repro.errors.IngressProtocolError` (invalid UTF-8 in a key
+included), so a hostile peer can end its own connection but never crash
+the handler.
 """
 
 from __future__ import annotations
@@ -38,6 +49,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.errors import IngressProtocolError
 
@@ -206,15 +219,20 @@ def decode_handshake(payload: bytes) -> int:
 # ----------------------------------------------------------------------
 # requests
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Request:
-    """One decoded client request frame."""
+    """One decoded client request frame.
+
+    For ``SERVE``/``SERVE_BATCH`` the pairs are read-only ``>u4`` array
+    views into the frame payload (``sources`` the even slots, ``targets``
+    the odd ones); ``PING``/``METRICS`` carry none (empty tuples).
+    """
 
     op: int
     request_id: int
     key: str = ""
-    sources: tuple[int, ...] = ()
-    targets: tuple[int, ...] = ()
+    sources: Sequence[int] = ()
+    targets: Sequence[int] = ()
     #: Seconds the client allows this request to spend queued server-side
     #: before it would rather be load-shed; 0.0 = no deadline.
     deadline: float = 0.0
@@ -254,7 +272,13 @@ def _unpack_key(payload: bytes, offset: int) -> tuple[str, int]:
     offset += _KEY_LEN.size
     if len(payload) - offset < length:
         raise IngressProtocolError("frame ends inside a key")
-    return payload[offset : offset + length].decode("utf-8"), offset + length
+    try:
+        key = payload[offset : offset + length].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngressProtocolError(
+            f"session key is not UTF-8: {exc}"
+        ) from None
+    return key, offset + length
 
 
 def _pack_text(text: str) -> bytes:
@@ -294,17 +318,21 @@ def encode_request(
         raise IngressProtocolError(
             "serve sources and targets must be equal length"
         )
-    parts = [head, _pack_key(key)]
+    m = len(sources)
+    if op == OP_SERVE and m != 1:
+        raise IngressProtocolError("SERVE carries exactly one request")
+    pairs = [0] * (2 * m)
+    pairs[0::2] = sources
+    pairs[1::2] = targets
+    try:
+        body = struct.pack(f"!{2 * m}I", *pairs)
+    except struct.error as exc:
+        raise IngressProtocolError(
+            f"node ids must be integers in 0..{0xFFFF_FFFF}: {exc}"
+        ) from None
     if op == OP_SERVE:
-        if len(sources) != 1:
-            raise IngressProtocolError("SERVE carries exactly one request")
-        parts.append(_PAIR.pack(int(sources[0]), int(targets[0])))
-    else:
-        parts.append(_BATCH_LEN.pack(len(sources)))
-        parts.extend(
-            _PAIR.pack(int(u), int(v)) for u, v in zip(sources, targets)
-        )
-    return encode_frame(b"".join(parts))
+        return encode_frame(head + _pack_key(key) + body)
+    return encode_frame(head + _pack_key(key) + _BATCH_LEN.pack(m) + body)
 
 
 def decode_request(payload: bytes) -> Request:
@@ -322,39 +350,29 @@ def decode_request(payload: bytes) -> Request:
         return Request(op=op, request_id=request_id, deadline=deadline)
     key, offset = _unpack_key(payload, offset)
     if op == OP_SERVE:
-        if len(payload) - offset != _PAIR.size:
-            raise IngressProtocolError("SERVE frame has a malformed pair")
-        u, v = _PAIR.unpack_from(payload, offset)
-        return Request(
-            op=op,
-            request_id=request_id,
-            key=key,
-            sources=(u,),
-            targets=(v,),
-            deadline=deadline,
-        )
-    if len(payload) - offset < _BATCH_LEN.size:
-        raise IngressProtocolError("frame ends inside a batch length")
-    (m,) = _BATCH_LEN.unpack_from(payload, offset)
-    offset += _BATCH_LEN.size
+        m = 1
+    else:
+        if len(payload) - offset < _BATCH_LEN.size:
+            raise IngressProtocolError("frame ends inside a batch length")
+        (m,) = _BATCH_LEN.unpack_from(payload, offset)
+        offset += _BATCH_LEN.size
     if len(payload) - offset != m * _PAIR.size:
+        if op == OP_SERVE:
+            raise IngressProtocolError("SERVE frame has a malformed pair")
         raise IngressProtocolError(
             f"SERVE_BATCH declares {m} pairs but carries"
             f" {(len(payload) - offset) // _PAIR.size}"
         )
-    sources = []
-    targets = []
-    for _ in range(m):
-        u, v = _PAIR.unpack_from(payload, offset)
-        offset += _PAIR.size
-        sources.append(u)
-        targets.append(v)
+    if not isinstance(payload, bytes):
+        # Views into a mutable buffer would be writable.
+        payload = bytes(payload)
+    pairs = np.frombuffer(payload, ">u4", count=2 * m, offset=offset)
     return Request(
         op=op,
         request_id=request_id,
         key=key,
-        sources=tuple(sources),
-        targets=tuple(targets),
+        sources=pairs[0::2],
+        targets=pairs[1::2],
         deadline=deadline,
     )
 

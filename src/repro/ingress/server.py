@@ -345,7 +345,7 @@ class IngressServer:
                 conn, request.request_id, "server is draining"
             )
             return
-        if not request.sources:
+        if len(request.sources) == 0:
             await self._send(
                 conn,
                 protocol.encode_response(
@@ -523,12 +523,10 @@ class IngressServer:
             )
             if fault is not None and fault.mode == "kill":
                 kill_process(fault)
+            # The decoded frames' read-only pair views go to the farm
+            # as they are: it packs them once for the worker pipe.
             entries = [
-                (
-                    item.request.key,
-                    list(item.request.sources),
-                    list(item.request.targets),
-                )
+                (item.request.key, item.request.sources, item.request.targets)
                 for item in live
             ]
             results = await loop.run_in_executor(

@@ -18,12 +18,14 @@ Fault tolerance follows the PR 6 pool-hardening playbook:
   suite can kill a worker deterministically mid-campaign;
 * a dead worker (broken pipe on send or EOF on receive) is respawned and
   its state rebuilt by **journal replay**: the parent keeps every
-  acknowledged batch per shard per key and replays them — the serve
-  discipline is deterministic, so the rebuilt trees are cell-for-cell
-  identical — then re-sends the in-flight batch.  Replay acks are
-  dropped, so nothing is double counted.  Kill-style faults need a
-  ledger-backed :class:`~repro.reliability.faults.FaultPlan` (exactly as
-  with ``pool.task``) so the respawned worker does not re-fire the kill;
+  acknowledged pair per shard per key — one growable packed int64
+  buffer per key plus the cumulative ends of its batches — and replays
+  each key's pairs as one batch (the serve discipline is deterministic,
+  so the rebuilt trees are cell-for-cell identical), then re-sends the
+  in-flight batch.  Replay acks are dropped, so nothing is double
+  counted.  Kill-style faults need a ledger-backed
+  :class:`~repro.reliability.faults.FaultPlan` (exactly as with
+  ``pool.task``) so the respawned worker does not re-fire the kill;
 * the respawn budget (``max_respawns``) turns a crash loop into a loud
   :class:`~repro.errors.ReliabilityError` instead of a hang.
 
@@ -43,6 +45,12 @@ Two layers on top of reactive replay (the self-healing subsystem):
   serve ack; the parent prunes the journal prefix each snapshot covers,
   so a replacement worker restores from the latest snapshots and replays
   **at most ~N requests per key** instead of the whole history.
+
+Pairs cross the worker pipe packed: every dispatch is one
+``(keys, counts, sources, targets)`` message whose pairs are two
+contiguous int64 arrays (:func:`_pack`), whatever mix of lists and arrays
+the caller passed.  Non-integer node ids (floats, bools, objects) are
+rejected there rather than truncated.
 """
 
 from __future__ import annotations
@@ -52,8 +60,12 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from bisect import bisect_left
+from itertools import accumulate, groupby, islice
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.errors import ExperimentError, ReliabilityError
 from repro.net.session import DEFAULT_CHUNK, LatencyStats
@@ -139,6 +151,136 @@ class FarmMetrics:
         }
 
 
+def _int_elements(values) -> bool:
+    """Whether every element is an int or NumPy integer (never a bool)."""
+    return all(
+        kind is not bool and issubclass(kind, (int, np.integer))
+        for kind in set(map(type, values))
+    )
+
+
+def _bad_ids(what: str) -> ExperimentError:
+    return ExperimentError(
+        f"{what} node ids must be 1-D sequences of integers"
+        " (floats, bools and objects are rejected, not truncated)"
+    )
+
+
+def _node_ids(parts: list, what: str) -> np.ndarray:
+    """Concatenate one side's non-empty id parts into an int64 array.
+
+    Arrays are checked by dtype, other sequences element by element, so
+    no input is ever cast lossily.
+    """
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    arrays = []
+    for part in parts:
+        if type(part) is not np.ndarray:
+            if not _int_elements(part):
+                raise _bad_ids(what)
+            part = np.asarray(part)  # ints past int64 become objects
+        arrays.append(part)
+    # Integer dtypes whose every value fits int64 exactly.
+    if not all(
+        dtype.kind == "i" or (dtype.kind == "u" and dtype.itemsize < 8)
+        for dtype in {array.dtype for array in arrays}
+    ):
+        raise _bad_ids(what)
+    try:
+        ids = np.concatenate(arrays)
+    except ValueError:  # a 0-D part, or parts of different rank
+        raise _bad_ids(what) from None
+    if ids.ndim != 1:
+        raise _bad_ids(what)
+    return ids.astype(np.int64, copy=False)
+
+
+def _pack(batches, what: str):
+    """Pack ``(key, sources, targets)`` entries into one serve message.
+
+    Returns ``(packed, order)``.  ``packed`` is ``(keys, counts, sources,
+    targets)``: the entries regrouped by key — stably, so each key's
+    entries keep their order; keys are independent sessions, so this
+    changes no outcome — with every pair concatenated into two int64
+    arrays.  ``order[j]`` is the input index of packed entry ``j``.  The
+    grouping makes each key's pairs one contiguous run, which the
+    journal appends in one copy.
+    """
+    batches = list(batches)
+    runs: dict[Any, list[int]] = {}
+    for index, (key, _, _) in enumerate(batches):
+        runs.setdefault(key, []).append(index)
+    order = [index for run in runs.values() for index in run]
+    keys, counts, sources, targets = [], [], [], []
+    for index in order:
+        key, src, dst = batches[index]
+        m = len(src)
+        if m != len(dst):
+            raise ExperimentError(
+                f"{what} sources and targets must be equal length"
+            )
+        keys.append(key)
+        counts.append(m)
+        if m:
+            sources.append(src)
+            targets.append(dst)
+    packed = (
+        keys,
+        counts,
+        _node_ids(sources, what),
+        _node_ids(targets, what),
+    )
+    return packed, order
+
+
+class _PairJournal:
+    """One key's acknowledged pairs past its snapshot, packed.
+
+    ``sources[:size]``/``targets[:size]`` hold the pairs served after the
+    first ``base`` requests (the ones the stored snapshot covers);
+    ``ends`` holds the key's cumulative request count at the end of each
+    journaled batch — the only places a snapshot can be cut.
+    """
+
+    __slots__ = ("sources", "targets", "size", "base", "ends")
+
+    def __init__(self) -> None:
+        self.sources = np.empty(0, dtype=np.int64)
+        self.targets = np.empty(0, dtype=np.int64)
+        self.size = 0
+        self.base = 0
+        self.ends: list[int] = []
+
+    def append(self, sources, targets, counts: list[int]) -> None:
+        """Append one run of batches (``counts`` pairs each)."""
+        size = self.size + len(sources)
+        if size > len(self.sources):
+            capacity = max(size, 2 * len(self.sources), 256)
+            for name in ("sources", "targets"):
+                grown = np.empty(capacity, dtype=np.int64)
+                grown[: self.size] = getattr(self, name)[: self.size]
+                setattr(self, name, grown)
+        self.sources[self.size : size] = sources
+        self.targets[self.size : size] = targets
+        first = self.base + self.size
+        self.ends.extend(islice(accumulate(counts, initial=first), 1, None))
+        self.size = size
+
+    def prune(self, covered: int) -> bool:
+        """Drop the first ``covered - base`` pairs if that is a batch end."""
+        cut = bisect_left(self.ends, covered)
+        if cut == len(self.ends) or self.ends[cut] != covered:
+            return False
+        drop = covered - self.base
+        self.sources = self.sources[drop : self.size].copy()
+        self.targets = self.targets[drop : self.size].copy()
+        self.size -= drop
+        self.base = covered
+        del self.ends[: cut + 1]
+        return True
+
+
 def _heartbeat_loop(hb_conn, interval: float, stop) -> None:
     """Worker-side liveness thread: one beat per ``interval`` seconds."""
     seq = 0
@@ -163,9 +305,12 @@ def _worker_main(
 ) -> None:
     """One shard's serve loop: sessions owned here, commands via pipe.
 
-    Messages in: ``("serve", batches, replay)`` with ``batches`` a list of
-    ``(key, sources, targets)``; ``("restore", [(key, snapshot,
-    covered)])``; ``("status",)``; ``("metrics",)``; ``("close",)``.
+    Messages in: ``("serve", (keys, counts, sources, targets), replay)``
+    — one packed dispatch (see :func:`_pack`): entry ``i`` serves the
+    next ``counts[i]`` pairs of the two int64 arrays on session
+    ``keys[i]``, through ``Session.serve_stream`` on array views;
+    ``("restore", [(key, snapshot, covered)])``; ``("status",)``;
+    ``("metrics",)``; ``("close",)``.
     Every reply is a tuple whose first element is ``"ok"`` or ``"error"``;
     serve acks carry per-batch detail totals (one ``(m, routing,
     rotations, links)`` 4-tuple per dispatched batch, in order — the
@@ -211,7 +356,7 @@ def _worker_main(
             message = conn.recv()
             command = message[0]
             if command == "serve":
-                _, batches, replay = message
+                _, (keys, counts, sources, targets), replay = message
                 try:
                     fault = fire_fault(
                         FARM_FAULT_POINT, context=f"shard={shard_index}"
@@ -222,12 +367,17 @@ def _worker_main(
                     cpu_started = time.process_time()
                     details = []
                     snapshots = []
-                    for key, sources, targets in batches:
+                    start = 0
+                    for key, count in zip(keys, counts):
                         session = sessions.get(key)
                         if session is None:
                             session = open_session(spec_data)
                             sessions[key] = session
-                        batch = session.serve_stream(sources, targets)
+                        end = start + count
+                        batch = session.serve_stream(
+                            sources[start:end], targets[start:end]
+                        )
+                        start = end
                         details.append(
                             (
                                 batch.m,
@@ -384,15 +534,12 @@ class ServeFarm:
         self.metrics = FarmMetrics()
         self.health_config = health or HealthConfig()
         self.health = HealthMonitor(shards, self.health_config)
-        #: Per shard: ``{key: [(sources, targets), ...]}`` — every
-        #: acknowledged batch not yet covered by a snapshot, in serve
-        #: order (order across keys is immaterial: sessions are
-        #: independent per key).
-        self._journal: list[dict[Any, list[tuple[list[int], list[int]]]]] = [
+        #: Per shard: ``{key: _PairJournal}`` — every acknowledged pair
+        #: not yet covered by a snapshot, in serve order (order across
+        #: keys is immaterial: sessions are independent per key).
+        self._journal: list[dict[Any, _PairJournal]] = [
             {} for _ in range(shards)
         ]
-        #: Per shard: requests covered by the stored snapshot per key.
-        self._journal_base: list[dict[Any, int]] = [{} for _ in range(shards)]
         self._snapshots: list[dict[Any, Any]] = [{} for _ in range(shards)]
         self._ctx = _farm_context()
         self._procs: list[Optional[Any]] = [None] * shards
@@ -643,8 +790,9 @@ class ServeFarm:
             # backed fault plan guarantees a fired kill stays fired.
             conn = self._conns[shard]
             try:
+                journal = self._journal[shard]
                 restores = [
-                    (key, snapshot, self._journal_base[shard][key])
+                    (key, snapshot, journal[key].base)
                     for key, snapshot in self._snapshots[shard].items()
                 ]
                 if restores:
@@ -656,14 +804,15 @@ class ServeFarm:
                             f"serve farm shard {shard} failed snapshot"
                             f" restore: {reply[1]}"
                         )
-                for key, entries in self._journal[shard].items():
-                    if not entries:
-                        continue
-                    batches = [
-                        (key, sources, targets)
-                        for sources, targets in entries
-                    ]
-                    conn.send(("serve", batches, True))
+                # Each key's uncovered pairs replay as one batch.
+                replay = [
+                    (key, e.sources[: e.size], e.targets[: e.size])
+                    for key, e in journal.items()
+                    if e.size
+                ]
+                if replay:
+                    packed, _ = _pack(replay, "replay")
+                    conn.send(("serve", packed, True))
                     reply = conn.recv()
                     if reply[0] == "error":
                         self.health.mark(shard, DOWN)
@@ -672,9 +821,7 @@ class ServeFarm:
                             f" journal replay: {reply[1]}"
                         )
                     with self._metrics_lock:
-                        self.replayed_requests += sum(
-                            len(sources) for sources, _ in entries
-                        )
+                        self.replayed_requests += len(packed[2])
             except (BrokenPipeError, EOFError, OSError):
                 self._respawn(shard, proactive=proactive)
                 return  # budget-bounded recursion finished the job
@@ -686,21 +833,21 @@ class ServeFarm:
             self.health.mark(shard, HEALTHY)
 
     # -- dispatch ------------------------------------------------------
-    def _send_serve(self, shard: int, batches) -> None:
+    def _send_serve(self, shard: int, packed) -> None:
         try:
-            self._conns[shard].send(("serve", batches, False))
+            self._conns[shard].send(("serve", packed, False))
         except (BrokenPipeError, OSError):
             self._respawn(shard)
-            self._conns[shard].send(("serve", batches, False))
+            self._conns[shard].send(("serve", packed, False))
 
-    def _await_ack(self, shard: int, batches):
+    def _await_ack(self, shard: int, packed):
         """Collect one non-replay serve ack, surviving a worker death."""
         while True:
             try:
                 reply = self._conns[shard].recv()
             except (EOFError, OSError):
                 self._respawn(shard)
-                self._send_serve(shard, batches)
+                self._send_serve(shard, packed)
                 continue
             if reply[0] == "error":
                 raise ReliabilityError(
@@ -711,77 +858,71 @@ class ServeFarm:
                 continue
             return details, elapsed, cpu, snapshots
 
-    def _record_journal(self, shard: int, batches, snapshots) -> None:
-        """Append acknowledged batches; prune what snapshots now cover.
+    def _record_journal(self, shard: int, packed, snapshots) -> None:
+        """Append acknowledged pairs; prune what snapshots now cover.
 
         Snapshots are cut at batch boundaries in the worker and the
         parent journals the same batches in the same order, so a
-        snapshot covering ``covered`` requests always lands on a prefix
-        of whole journal entries (checked, never assumed).
+        snapshot covering ``covered`` requests lands on a recorded batch
+        end (checked, never assumed: otherwise the old snapshot stays).
+        ``packed`` holds each key's entries as one contiguous run.
         """
+        keys, counts, sources, targets = packed
         journal = self._journal[shard]
-        for key, sources, targets in batches:
-            journal.setdefault(key, []).append((sources, targets))
+        start = 0
+        for key, run in groupby(zip(keys, counts), key=itemgetter(0)):
+            run = [count for _, count in run]
+            end = start + sum(run)
+            if end > start:
+                entry = journal.get(key)
+                if entry is None:
+                    entry = journal[key] = _PairJournal()
+                entry.append(sources[start:end], targets[start:end], run)
+            start = end
         for key, snapshot, covered in snapshots:
-            base = self._journal_base[shard].get(key, 0)
-            need = covered - base
-            if need <= 0:
-                continue
-            entries = journal.get(key)
-            if not entries:
-                continue
-            dropped = 0
-            kept = 0
-            while kept < len(entries) and dropped < need:
-                nxt = len(entries[kept][0])
-                if dropped + nxt > need:
-                    break  # not a batch boundary: keep the old snapshot
-                dropped += nxt
-                kept += 1
-            if dropped == need:
-                del entries[:kept]
-                self._journal_base[shard][key] = covered
+            entry = journal.get(key)
+            if entry is not None and entry.prune(covered):
                 self._snapshots[shard][key] = snapshot
 
-    def _collect_shard(self, shard: int, batches):
+    def _collect_shard(self, shard: int, packed):
         """Await one shard's ack and fold it into the aggregate state.
 
-        Returns the per-batch detail list.  Journal updates are per-shard
-        (the caller holds the shard lock); the aggregate metrics update
-        takes the shared lock.
+        Returns the per-batch detail list, in ``packed`` order.  Journal
+        updates are per-shard (the caller holds the shard lock); the
+        aggregate metrics update takes the shared lock.
         """
-        details, elapsed, cpu, snapshots = self._await_ack(shard, batches)
-        m = sum(d[0] for d in details)
-        routing = sum(d[1] for d in details)
-        rotations = sum(d[2] for d in details)
-        links = sum(d[3] for d in details)
+        details, elapsed, cpu, snapshots = self._await_ack(shard, packed)
+        m, routing, rotations, links = (
+            map(sum, zip(*details)) if details else (0, 0, 0, 0)
+        )
         with self._metrics_lock:
             self.metrics.record_batch(
                 shard, m, routing, rotations, links, elapsed, cpu
             )
-        self._record_journal(shard, batches, snapshots)
+        self._record_journal(shard, packed, snapshots)
         return details
 
     def _dispatch(
-        self, grouped: Mapping[int, list[tuple[Any, list[int], list[int]]]]
+        self, packed: Mapping[int, Any]
     ) -> tuple[int, int, int, int]:
         """Send one window to all owning shards, then collect the acks.
 
-        All sends complete before the first receive, so shards serve the
+        ``packed`` maps each shard to its :func:`_pack`-ed message.  All
+        sends complete before the first receive, so shards serve the
         window concurrently; acknowledged batches enter the journal.
         Involved shard locks are taken in sorted order (the supervisor
         takes one at a time, so lock order cannot deadlock).
         """
-        shards = sorted(grouped)
+        shards = sorted(packed)
         for shard in shards:
             self._locks[shard].acquire()
         try:
             for shard in shards:
-                self._send_serve(shard, grouped[shard])
+                self._send_serve(shard, packed[shard])
             totals = [0, 0, 0, 0]
             for shard in shards:
                 for m, routing, rotations, links in self._collect_shard(
-                    shard, grouped[shard]
+                    shard, packed[shard]
                 ):
                     totals[0] += m
                     totals[1] += routing
@@ -795,7 +936,7 @@ class ServeFarm:
     def serve_grouped(
         self,
         shard: int,
-        batches: Sequence[tuple[Any, list[int], list[int]]],
+        batches: Sequence[tuple[Any, Sequence[int], Sequence[int]]],
     ) -> list[BatchServeResult]:
         """Dispatch pre-grouped key batches to one shard, detail per batch.
 
@@ -804,6 +945,8 @@ class ServeFarm:
         primitive: one worker round trip serves the whole coalesced list,
         and the returned :class:`BatchServeResult` per entry carries that
         entry's exact totals, so each client request gets its own answer.
+        ``sources``/``targets`` may be integer lists or integer arrays
+        (the gateway passes the decoded frames' read-only views).
 
         Thread safety: concurrent calls for *distinct* shards are safe
         (each shard's pipe and journal are guarded by that shard's lock;
@@ -811,29 +954,24 @@ class ServeFarm:
         Concurrent calls for the same shard serialize on the shard lock.
         """
         self._check_open()
-        batches = [
-            (key, [int(u) for u in sources], [int(v) for v in targets])
-            for key, sources, targets in batches
-        ]
-        for key, sources, targets in batches:
-            if len(sources) != len(targets):
-                raise ExperimentError(
-                    "serve_grouped sources and targets must be equal length"
-                )
+        packed, order = _pack(batches, "serve_grouped")
+        for key in dict.fromkeys(packed[0]):
             if self.router.shard_of(key) != shard:
                 raise ExperimentError(
                     f"key {key!r} routes to shard"
                     f" {self.router.shard_of(key)}, not {shard}"
                 )
-        if not batches:
+        if not order:
             return []
         with self._locks[shard]:
-            self._send_serve(shard, batches)
-            details = self._collect_shard(shard, batches)
-        return [
-            BatchServeResult(m, routing, rotations, links, None, None)
-            for m, routing, rotations, links in details
-        ]
+            self._send_serve(shard, packed)
+            details = self._collect_shard(shard, packed)
+        results: list[Any] = [None] * len(order)
+        for index, (m, routing, rotations, links) in zip(order, details):
+            results[index] = BatchServeResult(
+                m, routing, rotations, links, None, None
+            )
+        return results
 
     # -- serving -------------------------------------------------------
     def serve(self, key: Any, u: int, v: int) -> None:
@@ -843,15 +981,9 @@ class ServeFarm:
     def serve_batch(self, key: Any, sources, targets) -> BatchServeResult:
         """Serve one key's request batch on its owning shard."""
         self._check_open()
-        sources = [int(u) for u in sources]
-        targets = [int(v) for v in targets]
-        if len(sources) != len(targets):
-            raise ExperimentError(
-                "serve_batch sources and targets must be equal length"
-            )
-        shard = self.router.shard_of(key)
+        packed, _ = _pack([(key, sources, targets)], "serve_batch")
         m, routing, rotations, links = self._dispatch(
-            {shard: [(key, sources, targets)]}
+            {self.router.shard_of(key): packed}
         )
         return BatchServeResult(m, routing, rotations, links, None, None)
 
@@ -881,7 +1013,10 @@ class ServeFarm:
             if not block:
                 break
             m, routing, rotations, links = self._dispatch(
-                self.router.split(block)
+                {
+                    shard: _pack(batches, "serve_stream")[0]
+                    for shard, batches in self.router.group(block).items()
+                }
             )
             totals[0] += m
             totals[1] += routing

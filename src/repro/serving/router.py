@@ -39,7 +39,7 @@ class ShardRouter:
         return shard_for_key(key, self.shards)
 
     def split(
-        self, requests: Iterable[tuple[Any, int, int]]
+        self, requests: Iterable[tuple[Any, Any, Any]]
     ) -> dict[int, list[tuple[Any, list[int], list[int]]]]:
         """Group a ``(key, u, v)`` window into per-shard key batches.
 
@@ -48,16 +48,27 @@ class ShardRouter:
         arrival order — keys are independent sessions, so cross-key
         reordering inside a window cannot change any per-key outcome,
         while the batching maximizes each worker's kernel batch size.
+        Endpoints are coerced with ``int()``.
         """
-        by_key: dict[Any, tuple[list[int], list[int]]] = {}
+        return self.group((key, int(u), int(v)) for key, u, v in requests)
+
+    def group(
+        self, requests: Iterable[tuple[Any, Any, Any]]
+    ) -> dict[int, list[tuple[Any, list, list]]]:
+        """:meth:`split` with the endpoints kept exactly as given.
+
+        The serve farm groups with this, so its packer can reject a
+        non-integer node id instead of truncating it.
+        """
+        by_key: dict[Any, tuple[list, list]] = {}
         for key, u, v in requests:
             entry = by_key.get(key)
             if entry is None:
                 entry = ([], [])
                 by_key[key] = entry
-            entry[0].append(int(u))
-            entry[1].append(int(v))
-        grouped: dict[int, list[tuple[Any, list[int], list[int]]]] = {}
+            entry[0].append(u)
+            entry[1].append(v)
+        grouped: dict[int, list[tuple[Any, list, list]]] = {}
         for key, (sources, targets) in by_key.items():
             grouped.setdefault(self.shard_of(key), []).append(
                 (key, sources, targets)

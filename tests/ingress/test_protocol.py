@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
 import pytest
 
 from repro.errors import IngressProtocolError
@@ -113,8 +114,8 @@ class TestRequestCodec:
         )
         request = protocol.decode_request(_payload(frame))
         assert request.key == "tenant-a"
-        assert request.sources == (3,)
-        assert request.targets == (901,)
+        assert request.sources.tolist() == [3]
+        assert request.targets.tolist() == [901]
         assert request.deadline == 0.0
 
     def test_serve_batch_round_trip_with_deadline(self):
@@ -128,8 +129,8 @@ class TestRequestCodec:
         )
         request = protocol.decode_request(_payload(frame))
         assert request.request_id == 0xFFFF_FFFF
-        assert request.sources == (1, 2, 3)
-        assert request.targets == (9, 8, 7)
+        assert request.sources.tolist() == [1, 2, 3]
+        assert request.targets.tolist() == [9, 8, 7]
         assert request.deadline == pytest.approx(0.25)
 
     def test_unicode_key_round_trips(self):
@@ -165,6 +166,78 @@ class TestRequestCodec:
         payload = struct.pack("!IBd", 1, 99, 0.0)
         with pytest.raises(IngressProtocolError, match="opcode"):
             protocol.decode_request(payload)
+
+    def test_decoded_batch_pairs_are_read_only_arrays(self):
+        sources = [1, 2, 3, 0xFFFF_FFFF]
+        targets = [9, 8, 7, 0]
+        payload = _payload(
+            protocol.encode_request(
+                protocol.OP_SERVE_BATCH, 5, key="k",
+                sources=sources, targets=targets,
+            )
+        )
+        # A mutable payload must not make the views writable either.
+        for buffer in (payload, bytearray(payload)):
+            request = protocol.decode_request(buffer)
+            assert isinstance(request.sources, np.ndarray)
+            assert request.sources.tolist() == sources
+            assert request.targets.tolist() == targets
+            for view in (request.sources, request.targets):
+                assert not view.flags.writeable
+                with pytest.raises(ValueError):
+                    view[0] = 1
+
+    def test_encoded_bytes_are_pinned(self):
+        """Golden bytes: the wire form of a SERVE and a SERVE_BATCH."""
+        serve = protocol.encode_request(
+            protocol.OP_SERVE, 7, key="ab", sources=[3], targets=[0x0102_0304]
+        )
+        assert serve == bytes.fromhex(
+            "00000019"  # payload length 25
+            "00000007" "02" "0000000000000000"  # id, SERVE, deadline 0.0
+            "0002" "6162"  # key "ab"
+            "00000003" "01020304"  # the pair
+        )
+        batch = protocol.encode_request(
+            protocol.OP_SERVE_BATCH,
+            0x0A0B0C0D,
+            key="k",
+            sources=np.array([1, 2], dtype=np.int64),
+            targets=(5, 0xFFFF_FFFF),
+            deadline=0.5,
+        )
+        assert batch == bytes.fromhex(
+            "00000024"  # payload length 36
+            "0a0b0c0d" "03" "3fe0000000000000"  # id, SERVE_BATCH, 0.5
+            "0001" "6b"  # key "k"
+            "00000002"  # two pairs, interleaved u v u v
+            "00000001" "00000005" "00000002" "ffffffff"
+        )
+
+    @pytest.mark.parametrize("bad", [-1, 2**32, 1.5, "3", None])
+    def test_node_id_outside_u32_is_a_protocol_error(self, bad):
+        for op, sources, targets in (
+            (protocol.OP_SERVE, [bad], [1]),
+            (protocol.OP_SERVE_BATCH, [1, 2], [3, bad]),
+        ):
+            with pytest.raises(IngressProtocolError, match="node ids"):
+                protocol.encode_request(
+                    op, 1, key="k", sources=sources, targets=targets
+                )
+
+    def test_non_utf8_key_is_a_protocol_error(self):
+        for op, body in (
+            (protocol.OP_SERVE, struct.pack("!II", 1, 2)),
+            (protocol.OP_SERVE_BATCH, struct.pack("!III", 1, 1, 2)),
+        ):
+            payload = (
+                struct.pack("!IBd", 1, op, 0.0)
+                + struct.pack("!H", 1)
+                + b"\xff"
+                + body
+            )
+            with pytest.raises(IngressProtocolError, match="UTF-8"):
+                protocol.decode_request(payload)
 
     def test_truncated_request_is_loud(self):
         frame = protocol.encode_request(

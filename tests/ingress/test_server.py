@@ -384,3 +384,54 @@ class TestValidation:
             return address
 
         assert asyncio.run(run()) == str(tmp_path / "x.sock")
+
+
+class TestHostileFrames:
+    def test_non_utf8_key_ends_only_that_connection(self):
+        """A SERVE frame whose key is not UTF-8 closes its connection
+        quietly — no exception escapes the handler — and the server
+        keeps serving everyone else; the stub sees the pairs as the
+        decoded read-only views."""
+        import struct
+
+        from repro.ingress import protocol
+
+        farm = _StubFarm(shards=1)
+        escaped = []
+
+        async def run():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: escaped.append(context)
+            )
+            server = IngressServer(farm, port=0)
+            await server.start()
+            host, port = server.address
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(protocol.encode_handshake())
+                head = await reader.readexactly(protocol.FRAME_HEADER_SIZE)
+                await reader.readexactly(protocol.decode_frame_length(head))
+                writer.write(
+                    protocol.encode_frame(
+                        struct.pack("!IBd", 1, protocol.OP_SERVE, 0.0)
+                        + struct.pack("!H", 1)
+                        + b"\xff"
+                        + struct.pack("!II", 1, 2)
+                    )
+                )
+                await writer.drain()
+                assert await reader.read() == b""  # closed, no answer
+                writer.close()
+                async with AsyncIngressClient(host, port) as client:
+                    result = await client.serve_batch("k", [1, 2], [3, 4])
+            finally:
+                await server.drain()
+            return result
+
+        result = asyncio.run(run())
+        assert escaped == []
+        assert result.m == 2
+        [[(key, sources, targets)]] = farm.calls
+        assert key == "k"
+        assert sources.tolist() == [1, 2] and targets.tolist() == [3, 4]
+        assert not sources.flags.writeable

@@ -242,3 +242,199 @@ class TestServeGrouped:
                 farm.serve_grouped(0, [("a", [1, 2], [3])])
             assert farm.serve_grouped(0, []) == []
             assert farm.metrics.windows == 0
+
+
+def _clean_entry_totals(entries, n, k):
+    """Per-entry totals of clean sessions fed each key's entries in order."""
+    sessions: dict = {}
+    totals = []
+    for key, sources, targets in entries:
+        session = sessions.get(key)
+        if session is None:
+            session = sessions[key] = open_session("kary-splaynet", n=n, k=k)
+        batch = session.serve_stream(list(sources), list(targets))
+        totals.append(
+            (
+                batch.m,
+                batch.total_routing,
+                batch.total_rotations,
+                batch.total_links_changed,
+            )
+        )
+    return totals
+
+
+class TestPackedDispatch:
+    """Lists and arrays alike go through one packer into int64 arrays."""
+
+    def test_mixed_list_and_array_entries_match_clean_sessions(self):
+        import numpy as np
+
+        from repro.ingress import protocol
+
+        n, k = 64, 3
+        rng = random.Random(11)
+
+        def ids(m):
+            return [rng.randrange(1, n + 1) for _ in range(m)]
+
+        wire = protocol.decode_request(
+            protocol.split_frames(
+                protocol.encode_request(
+                    protocol.OP_SERVE_BATCH, 1, key="a",
+                    sources=ids(256), targets=ids(256),
+                )
+            )[0][0]
+        )
+        entries = [
+            ("a", ids(256), ids(256)),
+            ("b", np.array(ids(1)), np.array(ids(1), dtype=np.int32)),
+            ("a", [], []),
+            ("c", np.array(ids(256), dtype=np.uint32), ids(256)),
+            ("b", ids(1), np.array(ids(1), dtype=np.uint16)),
+            ("a", np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
+            ("a", wire.sources, wire.targets),  # read-only >u4 views
+            ("c", np.array(ids(1), dtype=np.int8), ids(1)),
+        ]
+        with ServeFarm("kary-splaynet", n=n, k=k, shards=1) as farm:
+            results = farm.serve_grouped(0, entries)
+            assert farm.metrics.windows == 1
+            metrics = farm.session_metrics()
+        got = [
+            (r.m, r.total_routing, r.total_rotations, r.total_links_changed)
+            for r in results
+        ]
+        assert got == _clean_entry_totals(entries, n, k)
+        assert [r.m for r in results] == [256, 1, 0, 256, 1, 0, 256, 1]
+        assert sum(m["requests"] for m in metrics.values()) == 771
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [1.9, 2.2],
+            [True, False],
+            [object(), 2],
+            [2**70, 2],
+            ["1", "2"],
+            "float64",
+            "bool",
+            "object",
+            "uint64",
+        ],
+    )
+    def test_non_integer_ids_are_rejected_not_truncated(self, bad):
+        import numpy as np
+
+        if isinstance(bad, str):
+            bad = np.array([1, 2]).astype(bad)
+            if bad.dtype == np.float64:
+                bad = bad + 0.9
+        # serve_stream sees single elements, not arrays: an object or
+        # uint64 array's elements are exact integers and pass there.
+        stream_rejects = not (
+            isinstance(bad, np.ndarray) and bad.dtype.kind in "Ou"
+        )
+        good = [5, 9]
+        with ServeFarm("kary-splaynet", n=16, k=2, shards=1) as farm:
+            for sources, targets in ((bad, good), (good, bad)):
+                with pytest.raises(ExperimentError, match="integers"):
+                    farm.serve_grouped(0, [("a", sources, targets)])
+                with pytest.raises(ExperimentError, match="integers"):
+                    farm.serve_grouped(
+                        0, [("b", [1], [2]), ("a", sources, targets)]
+                    )
+                with pytest.raises(ExperimentError, match="integers"):
+                    farm.serve_batch("a", sources, targets)
+                if stream_rejects:
+                    with pytest.raises(ExperimentError, match="integers"):
+                        farm.serve_stream(
+                            [("b", 1, 2)]
+                            + [("a", u, v) for u, v in zip(sources, targets)]
+                        )
+            assert farm.metrics.requests == 0
+            assert farm.session_metrics() == {}
+
+    def test_non_flat_ids_are_rejected(self):
+        with ServeFarm("kary-splaynet", n=16, k=2, shards=1) as farm:
+            with pytest.raises(ExperimentError, match="1-D"):
+                farm.serve_grouped(0, [("a", [[1, 2]], [[3, 4]])])
+            assert farm.metrics.requests == 0
+
+
+class TestPackedJournal:
+    """The replay journal: one packed buffer per key, exact pruning."""
+
+    def test_journal_holds_exactly_the_acknowledged_pairs(self):
+        n = 32
+        rng = random.Random(5)
+        sent: dict = {}
+        with ServeFarm("kary-splaynet", n=n, k=2, shards=1) as farm:
+            for _ in range(6):
+                entries = []
+                for _ in range(rng.randrange(1, 6)):
+                    key = rng.choice("abc")
+                    m = rng.choice((0, 1, 3, 300))
+                    pairs = [
+                        (rng.randrange(1, n + 1), rng.randrange(1, n + 1))
+                        for _ in range(m)
+                    ]
+                    entries.append(
+                        (key, [u for u, _ in pairs], [v for _, v in pairs])
+                    )
+                    sent.setdefault(key, []).extend(pairs)
+                farm.serve_grouped(0, entries)
+            journal = farm._journal[0]
+            for key, pairs in sent.items():
+                if not pairs:
+                    continue
+                entry = journal[key]
+                assert entry.base == 0
+                assert entry.size == len(pairs)
+                assert entry.sources[: entry.size].tolist() == [
+                    u for u, _ in pairs
+                ]
+                assert entry.targets[: entry.size].tolist() == [
+                    v for _, v in pairs
+                ]
+                assert entry.ends[-1] == len(pairs)
+            assert farm.metrics.requests == sum(map(len, sent.values()))
+
+    def test_snapshot_prune_keeps_exactly_the_uncovered_suffix(self):
+        sources = [1 + (i % 31) for i in range(15)]
+        targets = [1 + ((i * 7) % 31) for i in range(15)]
+        with ServeFarm(
+            "kary-splaynet", n=32, k=2, shards=1, checkpoint_every=10
+        ) as farm:
+            # Batches of 4, 4, 4, 3: the worker snapshots after the third
+            # (12 >= 10 served), so only the last batch stays journaled.
+            farm.serve_grouped(
+                0,
+                [
+                    ("a", sources[i : i + 4], targets[i : i + 4])
+                    for i in range(0, 15, 4)
+                ],
+            )
+            entry = farm._journal[0]["a"]
+            assert "a" in farm._snapshots[0]
+            assert entry.base == 12
+            assert entry.size == 3
+            assert entry.sources[: entry.size].tolist() == sources[12:]
+            assert entry.targets[: entry.size].tolist() == targets[12:]
+            assert entry.ends == [15]
+
+    def test_prune_only_at_a_batch_end(self):
+        from repro.serving.farm import _PairJournal
+
+        journal = _PairJournal()
+        journal.append([1, 2, 3], [4, 5, 6], [2, 1])
+        journal.append([7, 8], [9, 10], [2])
+        assert journal.ends == [2, 3, 5]
+        assert not journal.prune(4)  # inside the last batch: keep all
+        assert journal.size == 5 and journal.base == 0
+        assert journal.prune(3)
+        assert journal.base == 3 and journal.ends == [5]
+        assert journal.sources[: journal.size].tolist() == [7, 8]
+        assert journal.targets[: journal.size].tolist() == [9, 10]
+        assert not journal.prune(3)  # already covered
+        assert journal.prune(5)
+        assert journal.size == 0 and journal.ends == []

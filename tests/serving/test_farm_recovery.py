@@ -111,6 +111,85 @@ class TestWorkerKillRecovery:
             ),
         }
 
+    @pytest.mark.parametrize("checkpoint_every", [None, 40])
+    def test_packed_dispatch_survives_a_kill_mid_stream(
+        self, tmp_path, checkpoint_every
+    ):
+        """Grouped dispatches of array entries (the gateway's path) with a
+        worker killed on the third window: the respawned worker rebuilds
+        from the packed journal — snapshots plus the uncovered suffix
+        when checkpointing — and every per-entry answer and per-key
+        total equals a clean run."""
+        import numpy as np
+
+        n, k = 40, 3
+        rng = random.Random(9)
+        windows = []
+        for _ in range(6):
+            window = []
+            for _ in range(rng.randrange(2, 7)):
+                m = rng.choice((1, 7, 64))
+                window.append(
+                    (
+                        f"key-{rng.randrange(4)}",
+                        np.array(
+                            [rng.randrange(1, n + 1) for _ in range(m)],
+                            dtype=">u4",
+                        ),
+                        [rng.randrange(1, n + 1) for _ in range(m)],
+                    )
+                )
+            windows.append(window)
+        plan = FaultPlan(
+            specs=(FaultSpec("farm.serve", mode="kill", at=(3,)),),
+            ledger=str(tmp_path / "ledger"),
+        )
+        _activate_for_workers(plan)
+        try:
+            with ServeFarm(
+                "kary-splaynet",
+                n=n,
+                k=k,
+                shards=1,
+                checkpoint_every=checkpoint_every,
+            ) as farm:
+                answers = [
+                    (r.m, r.total_routing, r.total_rotations,
+                     r.total_links_changed)
+                    for window in windows
+                    for r in farm.serve_grouped(0, window)
+                ]
+                assert farm.respawns == 1
+                farm_metrics = farm.session_metrics()
+                replayed = farm.replayed_requests
+        finally:
+            os.environ.pop(FAULTS_ENV, None)
+            clear_fault_plan()
+
+        sessions: dict = {}
+        clean_answers = []
+        for window in windows:
+            for key, sources, targets in window:
+                session = sessions.setdefault(
+                    key, open_session("kary-splaynet", n=n, k=k)
+                )
+                batch = session.serve_stream(sources.tolist(), targets)
+                clean_answers.append(
+                    (batch.m, batch.total_routing, batch.total_rotations,
+                     batch.total_links_changed)
+                )
+        assert answers == clean_answers
+        assert farm_metrics == {
+            key: session.metrics.to_dict()
+            for key, session in sessions.items()
+        }
+        served_before_kill = sum(len(s) for _, s, _ in windows[0] + windows[1])
+        if checkpoint_every is None:
+            assert replayed == served_before_kill
+        else:
+            # Only each key's suffix past its last snapshot replays.
+            assert replayed < served_before_kill
+
     def test_crash_loop_exhausts_respawn_budget(self, tmp_path):
         """A shard that dies on every attempt becomes a loud
         ReliabilityError once max_respawns is spent, not a hang."""

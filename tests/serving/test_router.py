@@ -64,3 +64,20 @@ class TestSplit:
         [(_, sources, targets)] = grouped[0]
         assert sources == [3] and targets == [4]
         assert all(type(x) is int for x in sources + targets)
+
+    def test_group_keeps_endpoints_as_given(self):
+        # The farm groups with group(): its packer, not the router,
+        # decides that a float id is an error rather than truncating it.
+        router = ShardRouter(2)
+        window = [("a", 1, 2.5), ("b", 3, 4), ("a", True, "x")]
+        grouped = router.group(window)
+        flat = {
+            key: (sources, targets)
+            for batches in grouped.values()
+            for key, sources, targets in batches
+        }
+        assert flat == {"a": ([1, True], [2.5, "x"]), "b": ([3], [4])}
+        assert type(flat["a"][0][1]) is bool
+        assert router.split([(k, u, v) for k, u, v in window[:2]]) == (
+            router.group([("a", 1, 2), ("b", 3, 4)])
+        )
