@@ -68,6 +68,7 @@ from repro.errors import (
     IngressError,
     IngressOverload,
     IngressProtocolError,
+    RejectedRequestError,
     ReliabilityError,
     ReproError,
 )
@@ -309,6 +310,7 @@ __all__ = [
     # errors
     "ReproError",
     "ReliabilityError",
+    "RejectedRequestError",
     "FaultInjected",
     "IngressError",
     "IngressProtocolError",

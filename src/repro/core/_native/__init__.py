@@ -58,8 +58,9 @@ MAX_NATIVE_K = 40
 #: Expected ``repro_kernel_abi()`` value; stale cached shared objects that
 #: report a different version are rebuilt.  Version 2 added the
 #: resident-tree handle API; version 3 removed the stateless batch entry;
-#: version 4 added the optimal-tree DP forward pass ``repro_dp_forward``.
-_ABI_VERSION = 4
+#: version 4 added the optimal-tree DP forward pass ``repro_dp_forward``;
+#: version 5 made ``repro_tree_serve_batch`` segmented (per-segment totals).
+_ABI_VERSION = 5
 
 _COMPILERS = ("cc", "gcc", "clang")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-fvisibility=default")
@@ -176,11 +177,12 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_void_p,  # handle
         ctypes.c_void_p,  # sources
         ctypes.c_void_p,  # targets
-        ctypes.c_int64,  # m
+        ctypes.c_void_p,  # ends, int64 (nseg,): cumulative segment ends
+        ctypes.c_int64,  # nseg
         ctypes.c_int64,  # policy
         ctypes.c_void_p,  # routing_series (nullable)
         ctypes.c_void_p,  # rotation_series (nullable)
-        ctypes.c_void_p,  # totals
+        ctypes.c_void_p,  # totals, int64 (nseg, 3)
     )
     fn = lib.repro_tree_serve_one
     fn.restype = ctypes.c_int64

@@ -15,6 +15,12 @@
  *   routing[nid * (k - 1) + j]       double, sorted separators per node
  *   visit[nid], vdepth[nid]          int64 scratch for the LCA walk
  *
+ * One serve call takes a *segmented* batch: the requests of several
+ * consecutive client frames for one tree, with one (routing, rotations,
+ * links) totals row per frame, so the per-call cost on the Python side is
+ * paid once per run of frames rather than once per frame.  A plain batch
+ * is one segment.
+ *
  * Structural equivalence with the Python engines is the contract: on any
  * request batch this kernel must produce the identical topology and the
  * identical cost totals (enforced per request by tests/test_native_engine.py
@@ -44,8 +50,10 @@
  * different version.  Version 2 added the resident-tree handle API
  * (repro_tree_create / load / serve_batch / serve_one / sync_out /
  * destroy); version 3 removed the stateless batch entry; version 4 added
- * the optimal-tree DP forward pass (repro_dp_forward). */
-#define RK_ABI_VERSION 4
+ * the optimal-tree DP forward pass (repro_dp_forward); version 5 made
+ * repro_tree_serve_batch segmented (one totals row per segment of the
+ * batch, so one call answers many coalesced client frames). */
+#define RK_ABI_VERSION 5
 
 int64_t repro_kernel_abi(void) { return RK_ABI_VERSION; }
 
@@ -874,7 +882,7 @@ static int rk_ctx_init(rk_ctx *c, int64_t k, int64_t policy, int64_t *parent,
  * repro_tree_create allocates a handle whose int64/double buffers the
  * kernel owns across calls, so serving costs no per-call marshalling:
  * the Python side loads the flat state once (repro_tree_load), serves
- * any mix of batches (repro_tree_serve_batch) and single requests
+ * any mix of segmented batches (repro_tree_serve_batch) and single requests
  * (repro_tree_serve_one) against the resident buffers, and copies the
  * state back out only on snapshot/inspection (repro_tree_sync_out).
  * ==================================================================== */
@@ -950,14 +958,22 @@ int64_t repro_tree_root(void *handle)
     return ((rk_tree *)handle)->root;
 }
 
-/* Serve a request batch against the resident buffers.  policy is 0/1/2
- * for center/left/right; totals is a three-element out buffer (routing,
- * rotations, links); routing_series / rotation_series are optional
- * length-m out buffers (both NULL or both set).  Returns 0 on success, 1
- * when the arity is outside the supported range. */
+/* Serve a segmented request batch against the resident buffers.
+ * Segment j covers requests [ends[j - 1], ends[j]) (ends[-1] = 0), so
+ * the batch holds ends[nseg - 1] requests; the tree state carries over
+ * from one segment to the next exactly as across separate calls.  policy
+ * is 0/1/2 for center/left/right; totals is an nseg x 3 out buffer (one
+ * routing, rotations, links row per segment); routing_series /
+ * rotation_series are optional out buffers over the whole batch (both
+ * NULL or both set).  Returns 0 on success; nothing is served and 1 is
+ * returned when the arity is outside the supported range or ends is not
+ * a non-decreasing run of non-negative offsets, 2 when a request u != v
+ * names an identifier outside 1..n (a self-pair is served at cost 0
+ * without touching the tree, whatever its identifier). */
 int64_t repro_tree_serve_batch(void *handle, const int64_t *sources,
-                               const int64_t *targets, int64_t m,
-                               int64_t policy, int64_t *routing_series,
+                               const int64_t *targets, const int64_t *ends,
+                               int64_t nseg, int64_t policy,
+                               int64_t *routing_series,
                                int64_t *rotation_series, int64_t *totals)
 {
     rk_tree *t = (rk_tree *)handle;
@@ -965,8 +981,21 @@ int64_t repro_tree_serve_batch(void *handle, const int64_t *sources,
     if (!rk_ctx_init(&c, t->k, policy, t->parent, t->pslot, t->children,
                      t->routing, t->root))
         return 1;
-    rk_serve_requests(&c, t->visit, t->vdepth, &t->epoch, sources, targets,
-                      m, routing_series, rotation_series, totals);
+    for (int64_t j = 0, prev = 0; j < nseg; prev = ends[j++])
+        if (ends[j] < prev)
+            return 1;
+    const int64_t m = nseg ? ends[nseg - 1] : 0, n = t->n;
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t u = sources[i], v = targets[i];
+        if (u != v && (u < 1 || u > n || v < 1 || v > n))
+            return 2;
+    }
+    const int rec = (routing_series != NULL);
+    for (int64_t j = 0, start = 0; j < nseg; start = ends[j++])
+        rk_serve_requests(&c, t->visit, t->vdepth, &t->epoch,
+                          sources + start, targets + start, ends[j] - start,
+                          rec ? routing_series + start : 0,
+                          rec ? rotation_series + start : 0, totals + 3 * j);
     t->root = c.root;
     return 0;
 }
@@ -978,7 +1007,9 @@ int64_t repro_tree_serve_one(void *handle, int64_t u, int64_t v,
 {
     const int64_t src[1] = {u};
     const int64_t dst[1] = {v};
-    return repro_tree_serve_batch(handle, src, dst, 1, policy, 0, 0, totals);
+    const int64_t end[1] = {1};
+    return repro_tree_serve_batch(handle, src, dst, end, 1, policy, 0, 0,
+                                  totals);
 }
 
 void repro_tree_destroy(void *handle)

@@ -934,6 +934,15 @@ class FlatTree:
             links += l2
         return du + dv, rotations, links
 
+    def serves_segments(self, depth: int) -> bool:
+        """Whether :meth:`serve_many` takes segment ``ends``.
+
+        Only the native kernel serves a segmented batch in one call
+        (:meth:`repro.core.native.NativeTree.serve_many`); this Python
+        loop does not.
+        """
+        return False
+
     def serve_many(
         self,
         sources,

@@ -10,7 +10,9 @@ The state protocol:
   While the handle is *resident*, batches (``repro_tree_serve_batch``)
   and single requests (``repro_tree_serve_one``) run against the
   C-owned buffers with zero per-call marshalling — the scalar path costs
-  one ctypes call, not an O(n·k) pack/unpack round trip.
+  one ctypes call, not an O(n·k) pack/unpack round trip.  A batch may be
+  segmented (``serve_many(..., ends=...)``): one call, one totals row
+  per segment.
 * Any consumer of the Python list state — snapshot/copy, signature,
   ``to_tree``, validation, LCA/depth queries, the Python-side rotation
   entry points, cross-engine transfer via :meth:`FlatTree.from_flat` —
@@ -41,6 +43,34 @@ __all__ = ["NativeTree"]
 
 #: Block-policy encoding shared with kernel.c.
 _POLICY_CODES = {"center": 0, "left": 1, "right": 2}
+
+
+def _segment_ends(ends, m: int) -> np.ndarray:
+    """Check the segment ends of a batch of ``m`` requests before the kernel.
+
+    At least one segment; int64; non-negative and non-decreasing; the
+    last end is ``m``.  The kernel trusts these offsets, so a bad one is
+    an :class:`EngineError` here, never an out-of-bounds read there.
+    """
+    if (
+        type(ends) is not np.ndarray
+        or ends.dtype != np.int64
+        or ends.ndim != 1
+    ):
+        raise EngineError("segment ends must be a 1-D int64 array")
+    if not len(ends):
+        raise EngineError("a segmented batch needs at least one segment")
+    bounds = ends.tolist()  # few segments: cheaper than NumPy reductions
+    if (
+        bounds[-1] != m
+        or bounds[0] < 0
+        or any(a > b for a, b in zip(bounds, bounds[1:]))
+    ):
+        raise EngineError(
+            f"segment ends must be non-decreasing from 0 to the batch"
+            f" length {m}"
+        )
+    return np.ascontiguousarray(ends)
 
 
 class NativeTree(FlatTree):
@@ -192,6 +222,14 @@ class NativeTree(FlatTree):
         self._ranges_dirty = True
         return int(totals[0]), int(totals[1]), int(totals[2])
 
+    def serves_segments(self, depth: int) -> bool:
+        """Whether :meth:`serve_many` runs in the kernel, ``ends`` included."""
+        return (
+            depth == 2
+            and self.k <= _native.MAX_NATIVE_K
+            and _native.available()
+        )
+
     def serve_many(
         self,
         sources,
@@ -201,7 +239,8 @@ class NativeTree(FlatTree):
         depth: int = 2,
         routing_series=None,
         rotation_series=None,
-    ) -> tuple[int, int, int]:
+        ends=None,
+    ):
         """Serve a whole request batch in the compiled kernel.
 
         Same contract as :meth:`FlatTree.serve_many` — scalar cost totals,
@@ -209,6 +248,14 @@ class NativeTree(FlatTree):
         for bit (pinned by ``tests/test_native_engine.py``).  Only the
         request arrays cross the ctypes boundary; the tree state stays
         resident in the handle.
+
+        ``ends`` splits the batch into consecutive segments (an int64
+        array of cumulative segment ends, non-decreasing, the last equal
+        to the batch length): the call then returns an ``(len(ends), 3)``
+        int64 array of per-segment ``(routing, rotations, links)`` totals,
+        exactly what serving each segment by its own call would return.
+        It needs the kernel (:meth:`serves_segments`).  Without ``ends``
+        the batch is one segment.
         """
         if policy not in BLOCK_POLICIES:
             raise RotationError(
@@ -218,9 +265,15 @@ class NativeTree(FlatTree):
             raise EngineError(
                 "routing_series and rotation_series must be provided together"
             )
-        if depth != 2 or self.k > _native.MAX_NATIVE_K:
-            # Deep-splay and oversized arities run the (equivalent)
-            # pure-Python discipline.
+        if not self.serves_segments(depth):
+            if ends is not None:
+                raise EngineError(
+                    "segmented serving needs the native kernel at depth 2"
+                    f" and k <= {_native.MAX_NATIVE_K}"
+                )
+            # Deep-splay, oversized arities and a kernel that vanished
+            # after construction run the (equivalent) pure-Python
+            # discipline.
             self._sync_lists()
             return super().serve_many(
                 sources,
@@ -231,36 +284,18 @@ class NativeTree(FlatTree):
                 rotation_series=rotation_series,
             )
 
-        n = self.n
         src = np.ascontiguousarray(sources, dtype=np.int64)
         dst = np.ascontiguousarray(targets, dtype=np.int64)
         m = min(src.shape[0], dst.shape[0])  # zip() semantics
-        if m:
-            # Only non-self pairs index the arrays in the kernel: u == v
-            # short-circuits before any access (so a degenerate
-            # out-of-range self-pair serves at cost 0 here exactly as the
-            # Python engines serve it).
-            su, sv = src[:m], dst[:m]
-            bad = ((su < 1) | (su > n) | (sv < 1) | (sv > n)) & (su != sv)
-            if bad.any():
-                raise EngineError(
-                    f"request identifiers must be in 1..{n} for the"
-                    " native kernel"
-                )
-        if self._ensure_resident() is None:
-            # A kernel that vanished after construction (or a failed
-            # handle allocation) degrades to the pure-Python path.
-            self._sync_lists()
-            return super().serve_many(
-                sources,
-                targets,
-                policy=policy,
-                depth=depth,
-                routing_series=routing_series,
-                rotation_series=rotation_series,
-            )
+        seg_ends = (
+            np.array([m], dtype=np.int64)
+            if ends is None
+            else _segment_ends(ends, m)
+        )
+        if self._ensure_resident() is None:  # pragma: no cover - malloc
+            raise EngineError("native tree handle allocation failed")
 
-        totals = np.zeros(3, dtype=np.int64)
+        totals = np.zeros((len(seg_ends), 3), dtype=np.int64)
         record = routing_series is not None
         if record:
             routing_out = np.empty(m, dtype=np.int64)
@@ -274,13 +309,23 @@ class NativeTree(FlatTree):
             self._handle,
             src.ctypes.data,
             dst.ctypes.data,
-            ctypes.c_int64(m),
-            ctypes.c_int64(_POLICY_CODES[policy]),
+            seg_ends.ctypes.data,
+            len(seg_ends),
+            _POLICY_CODES[policy],
             routing_ptr,
             rotation_ptr,
             totals.ctypes.data,
         )
-        if status != 0:  # pragma: no cover - arity guarded above
+        if status == 2:
+            # The kernel checks every pair before serving any: only
+            # non-self pairs index the tree, so a degenerate out-of-range
+            # self-pair serves at cost 0 here exactly as the Python
+            # engines serve it.
+            raise EngineError(
+                f"request identifiers must be in 1..{self.n} for the"
+                " native kernel"
+            )
+        if status != 0:  # pragma: no cover - arity and ends checked above
             raise EngineError(f"native serve kernel failed (status {status})")
         self._ranges_dirty = True
 
@@ -295,7 +340,9 @@ class NativeTree(FlatTree):
                 if isinstance(rotation_series, np.ndarray)
                 else rotation_out.tolist()
             )
-        return int(totals[0]), int(totals[1]), int(totals[2])
+        if ends is not None:
+            return totals
+        return int(totals[0, 0]), int(totals[0, 1]), int(totals[0, 2])
 
     # ------------------------------------------------------------------
     # list-state consumers: sync the resident handle out first

@@ -41,7 +41,7 @@ from repro.core.flat import FlatTree
 from repro.core.rotations import BLOCK_POLICIES, splay_step
 from repro.core.splay import splay_until
 from repro.core.tree import KAryTreeNetwork
-from repro.errors import InvalidTreeError, RotationError
+from repro.errors import EngineError, InvalidTreeError, RotationError
 from repro.network.protocols import BatchServeResult, ServeResult
 
 __all__ = ["KArySplayNet"]
@@ -169,6 +169,14 @@ class KArySplayNet:
         """The live :class:`FlatTree` backend (``None`` on the object engine)."""
         return self._flat
 
+    @property
+    def serves_segments(self) -> bool:
+        """Whether :meth:`serve_trace` takes segment ``ends``: the native
+        kernel serves every segment of a batch in one call."""
+        return self._flat is not None and self._flat.serves_segments(
+            self.splay_depth
+        )
+
     def distance(self, u: int, v: int) -> int:
         if self._flat is not None:
             return self._flat.distance(u, v)
@@ -234,6 +242,7 @@ class KArySplayNet:
         targets=None,
         *,
         record_series: bool = False,
+        ends=None,
     ) -> BatchServeResult:
         """Serve a whole request batch; returns accumulated cost totals.
 
@@ -243,7 +252,17 @@ class KArySplayNet:
         skipped; series arrays are only built when ``record_series`` is
         set.  This is the fast path :class:`~repro.network.simulator.
         Simulator` uses when no per-request validation is requested.
+
+        ``ends`` (int64 cumulative segment ends, the last equal to the
+        batch length) serves the batch as consecutive segments in one
+        kernel call and fills :attr:`BatchServeResult.segments` with each
+        segment's totals; it needs :attr:`serves_segments`.
         """
+        if ends is not None and not self.serves_segments:
+            raise EngineError(
+                "segmented serve_trace needs the native kernel"
+                " (see KArySplayNet.serves_segments)"
+            )
         if self._flat is None:
             return batch_serve(
                 self._serve_totals, sources, targets, record_series=record_series
@@ -259,16 +278,26 @@ class KArySplayNet:
         if record_series:
             routing_series = np.empty(m, dtype=np.int64)
             rotation_series = np.empty(m, dtype=np.int64)
-        totals = self._flat.serve_many(
-            src,
-            dst,
+        serve = dict(
             policy=self.policy,
             depth=self.splay_depth,
             routing_series=routing_series,
             rotation_series=rotation_series,
         )
+        segments = None
+        if ends is None:
+            totals = self._flat.serve_many(src, dst, **serve)
+        else:
+            segments = self._flat.serve_many(src, dst, ends=ends, **serve)
+            totals = segments.sum(axis=0).tolist()
         return BatchServeResult(
-            m, totals[0], totals[1], totals[2], routing_series, rotation_series
+            m,
+            totals[0],
+            totals[1],
+            totals[2],
+            routing_series,
+            rotation_series,
+            segments,
         )
 
     def access(self, x: int) -> ServeResult:

@@ -16,6 +16,7 @@ __all__ = [
     "ExperimentError",
     "EngineError",
     "ReliabilityError",
+    "RejectedRequestError",
     "FaultInjected",
     "IngressError",
     "IngressProtocolError",
@@ -73,6 +74,23 @@ class ReliabilityError(ReproError):
     a restored checkpoint failed its post-restore audit, or a resume was
     requested without a readable campaign record.
     """
+
+
+class RejectedRequestError(ReliabilityError):
+    """A serve-farm dispatch was refused before any of it was served.
+
+    Raised by :class:`repro.serving.ServeFarm` when a dispatch holds a
+    pair no session can serve (``u != v`` with an id outside ``1..n``).
+    Nothing of the dispatch was served or journaled.  :attr:`entries`
+    lists the indices of the offending ``(key, sources, targets)``
+    entries, so a caller that coalesced many clients' frames (the
+    ingress gateway) can answer those frames alone and serve the rest.
+    A :class:`ReliabilityError`, as every failed farm dispatch is.
+    """
+
+    def __init__(self, message: str = "", *, entries=()):
+        super().__init__(message)
+        self.entries = tuple(entries)
 
 
 class IngressError(ReproError):

@@ -142,6 +142,15 @@ class CircuitBreaker:
         # Late ack while OPEN (outcome of a pre-trip request): ignored —
         # only the timed half-open probe may rehabilitate the shard.
 
+    def release(self) -> None:
+        """One admitted request ended without a verdict on the shard.
+
+        A request refused as malformed before it reached the shard frees
+        its half-open probe slot but counts neither way.
+        """
+        if self.state == HALF_OPEN:
+            self.probes_inflight = max(0, self.probes_inflight - 1)
+
     def record_failure(self) -> None:
         """One admitted request errored or missed its deadline."""
         if self.state == HALF_OPEN:

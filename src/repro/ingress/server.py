@@ -21,6 +21,12 @@ sits between socket and farm:
   while it queues, the server answers an explicit ``OVERLOAD`` frame.
   Requests are never silently dropped: every admitted request is either
   served or answered with ``OVERLOAD``/``ERROR``;
+* **per-frame rejection** — a frame naming a node outside the farm's
+  ``1..n`` is answered ``ERROR`` on its own: the farm refuses the whole
+  coalesced dispatch before serving any of it
+  (:class:`~repro.errors.RejectedRequestError` names the offending
+  frames), and the gateway dispatches the frame's window neighbours
+  again without it;
 * **circuit breakers** — one :class:`~repro.ingress.breaker.CircuitBreaker`
   per shard: consecutive dispatch failures or deadline misses trip it
   open and requests for that shard are shed *immediately* with
@@ -51,7 +57,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.errors import ExperimentError, FaultInjected, IngressProtocolError
+from repro.errors import (
+    ExperimentError,
+    FaultInjected,
+    IngressProtocolError,
+    RejectedRequestError,
+)
 from repro.ingress import protocol
 from repro.ingress.breaker import BreakerConfig, CircuitBreaker
 from repro.reliability.faults import fire_fault, kill_process
@@ -414,6 +425,38 @@ class IngressServer:
             ),
         )
 
+    async def _serve(self, shard: int, items: list[_Pending]) -> list:
+        """One farm round trip for ``items``, off the event loop."""
+        # The decoded frames' read-only pair views go to the farm as they
+        # are: it packs them once for the worker pipe.
+        entries = [
+            (item.request.key, item.request.sources, item.request.targets)
+            for item in items
+        ]
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executors[shard], self.farm.serve_grouped, shard, entries
+        )
+
+    async def _reject(
+        self, item: _Pending, exc: Exception, breaker: CircuitBreaker
+    ) -> None:
+        """Answer one admitted request the farm refused as malformed.
+
+        A bad request says nothing about the shard's health, so the
+        breaker only releases its admission slot.
+        """
+        self.inflight -= 1
+        self.errors += 1
+        breaker.release()
+        await self._send(
+            item.conn,
+            protocol.encode_response(
+                item.request.request_id,
+                protocol.STATUS_ERROR,
+                message=f"{type(exc).__name__}: {exc}",
+            ),
+        )
+
     async def _send(self, conn: _Connection, data: bytes) -> None:
         if conn.closed:
             return
@@ -523,18 +566,18 @@ class IngressServer:
             )
             if fault is not None and fault.mode == "kill":
                 kill_process(fault)
-            # The decoded frames' read-only pair views go to the farm
-            # as they are: it packs them once for the worker pipe.
-            entries = [
-                (item.request.key, item.request.sources, item.request.targets)
-                for item in live
-            ]
-            results = await loop.run_in_executor(
-                self._executors[shard],
-                self.farm.serve_grouped,
-                shard,
-                entries,
-            )
+            try:
+                results = await self._serve(shard, live)
+            except RejectedRequestError as exc:
+                # The farm served nothing: answer the offending frames
+                # alone, then serve their window neighbours without them.
+                rejected = set(exc.entries)
+                for index in sorted(rejected):
+                    await self._reject(live[index], exc, breaker)
+                live = [x for i, x in enumerate(live) if i not in rejected]
+                if not live:
+                    return
+                results = await self._serve(shard, live)
         except Exception as exc:  # noqa: BLE001 - answered per request
             for item in live:
                 self.inflight -= 1

@@ -11,6 +11,8 @@ wraps any network behind exactly that interface:
   through the network's batched ``serve_trace`` fast path one chunk at a
   time, so throughput matches offline trace replay while the stream stays
   incremental;
+* :meth:`Session.serve_segments` — many small batches back to back, one
+  totals row each, in a single kernel call where the network allows it;
 * :attr:`Session.metrics` — running totals (and optional per-request
   series) in the Section 2 cost components;
 * :meth:`Session.snapshot` / :meth:`Session.restore` — checkpoint the
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
@@ -50,6 +52,7 @@ __all__ = [
     "Session",
     "SessionMetrics",
     "SessionSnapshot",
+    "node_ids",
     "open_session",
 ]
 
@@ -238,6 +241,49 @@ class SessionSnapshot:
     spec: Optional[NetworkSpec] = None
 
 
+def _int_elements(values) -> bool:
+    """Whether every element is an int or NumPy integer (never a bool)."""
+    return all(
+        kind is not bool and issubclass(kind, (int, np.integer))
+        for kind in set(map(type, values))
+    )
+
+
+def _bad_ids(what: str) -> ExperimentError:
+    return ExperimentError(
+        f"{what} node ids must be integers, in 1-D sequences"
+        " (floats, bools and objects are rejected, not truncated)"
+    )
+
+
+def node_ids(values, what: str) -> np.ndarray:
+    """``values`` as a 1-D integer array that converts to int64 exactly.
+
+    The one node-id check of the serving stack (sessions and the serve
+    farm's packer): arrays are checked by dtype, other sequences element
+    by element, so a float, bool or object id raises
+    :class:`~repro.errors.ExperimentError` naming ``what`` instead of
+    being truncated.  Arrays come back as they are (no copy); the caller
+    converts once, where it concatenates or hands them to an engine.
+    """
+    if type(values) is not np.ndarray:
+        try:
+            ints = _int_elements(values)
+        except TypeError:  # not iterable
+            ints = False
+        if not ints:
+            raise _bad_ids(what)
+        # Ints past int64 become an object array and fail below.
+        values = np.asarray(values) if len(values) else np.empty(0, np.int64)
+    kind = values.dtype.kind
+    # Integer dtypes whose every value fits int64 exactly.
+    if not (kind == "i" or (kind == "u" and values.dtype.itemsize < 8)):
+        raise _bad_ids(what)
+    if values.ndim != 1:
+        raise _bad_ids(what)
+    return values
+
+
 def _pair_chunks(
     pairs: Iterable[tuple[int, int]], chunk: int
 ) -> Iterator[tuple[list[int], list[int]]]:
@@ -247,9 +293,11 @@ def _pair_chunks(
         block = list(islice(iterator, chunk))
         if not block:
             return
-        sources = [int(u) for u, _ in block]
-        targets = [int(v) for _, v in block]
-        yield sources, targets
+        sources = [u for u, _ in block]
+        targets = [v for _, v in block]
+        if not (_int_elements(sources) and _int_elements(targets)):
+            raise _bad_ids("serve_stream")
+        yield [int(u) for u in sources], [int(v) for v in targets]
 
 
 class Session:
@@ -311,6 +359,8 @@ class Session:
     # -- serving -------------------------------------------------------
     def serve(self, u: int, v: int) -> ServeResult:
         """Serve one online request; the session metrics accumulate it."""
+        if not _int_elements((u, v)):
+            raise _bad_ids("serve")
         t0 = time.perf_counter()
         result = self.network.serve(u, v)
         metrics = self.metrics
@@ -353,10 +403,13 @@ class Session:
         ``serve_trace`` (networks without one fall back to the scalar
         serve loop), so a session drives the same engine hot path as
         offline trace replay.  ``chunk=None`` (the default) auto-sizes via
-        :meth:`_auto_chunk`; small explicit chunks are fine on every
-        engine — the native engine keeps its tree state resident in the
-        kernel handle, so a chunk of 1 costs one ctypes call, not a full
-        state marshalling round trip.  Returns the accumulated
+        :meth:`_auto_chunk`.  The native engine keeps its tree state
+        resident in the kernel handle, so a small chunk never marshals the
+        tree, but every call and chunk still costs tens of microseconds of
+        Python and NumPy setup around a kernel call of about a
+        microsecond: callers that serve many small batches should hand
+        them to :meth:`serve_segments` in one call.  Node ids must be
+        integers (:func:`node_ids`).  Returns the accumulated
         :class:`~repro.network.protocols.BatchServeResult` for *this*
         stream; :attr:`metrics` advances by the same amounts.
         """
@@ -365,9 +418,9 @@ class Session:
         elif chunk < 1:
             raise ExperimentError(f"chunk must be >= 1, got {chunk}")
         if targets is not None:
-            sources = np.asarray(requests, dtype=np.int64)
-            targets = np.asarray(targets, dtype=np.int64)
-            if sources.shape != targets.shape or sources.ndim != 1:
+            sources = node_ids(requests, "serve_stream")
+            targets = node_ids(targets, "serve_stream")
+            if sources.shape != targets.shape:
                 raise ExperimentError(
                     "serve_stream arrays must be equal-length and 1-D"
                 )
@@ -387,8 +440,7 @@ class Session:
         serve_trace = getattr(self.network, "serve_trace", None)
         if serve_trace is None:
             serve_trace = self._fallback_serve_trace
-        metrics = self.metrics
-        record = metrics.routing_series is not None
+        record = self.metrics.routing_series is not None
         total_m = total_routing = total_rotations = total_links = 0
         routing_parts: list[np.ndarray] = []
         rotation_parts: list[np.ndarray] = []
@@ -397,12 +449,7 @@ class Session:
             batch = serve_trace(
                 sources_chunk, targets_chunk, record_series=record
             )
-            if batch.m:
-                # Per-request latency attributed evenly across the chunk —
-                # the right granularity for p50/p99 of a batched stream.
-                metrics.latency.record(
-                    (time.perf_counter() - t0) / batch.m, batch.m
-                )
+            self._account(batch, time.perf_counter() - t0)
             total_m += batch.m
             total_routing += batch.total_routing
             total_rotations += batch.total_rotations
@@ -410,15 +457,6 @@ class Session:
             if record and batch.routing_series is not None:
                 routing_parts.append(batch.routing_series)
                 rotation_parts.append(batch.rotation_series)
-                metrics.routing_series.extend(batch.routing_series.tolist())
-                metrics.rotation_series.extend(batch.rotation_series.tolist())
-            # Auto-checkpoint between chunks: metrics must already cover
-            # the chunk when the snapshot is cut, so advance them first.
-            metrics.requests += batch.m
-            metrics.total_routing += batch.total_routing
-            metrics.total_rotations += batch.total_rotations
-            metrics.total_links_changed += batch.total_links_changed
-            self._count_toward_checkpoint(batch.m)
         return BatchServeResult(
             total_m,
             total_routing,
@@ -427,6 +465,96 @@ class Session:
             np.concatenate(routing_parts) if routing_parts else None,
             np.concatenate(rotation_parts) if rotation_parts else None,
         )
+
+    def serve_segments(
+        self, sources, targets, counts
+    ) -> list[tuple[int, int, int, int]]:
+        """Serve consecutive request segments; one row per segment.
+
+        ``sources``/``targets`` hold every segment's pairs back to back
+        and ``counts[j]`` is the length of segment ``j`` (zero allowed).
+        Returns one ``(m, routing, rotations, links)`` tuple per segment.
+        Rows, :attr:`metrics`, the latency count, the checkpoint cadence
+        and any recorded series come out exactly as from calling
+        :meth:`serve_stream` once per segment.
+
+        Where the network serves segments natively (the native k-ary
+        SplayNet, see ``KArySplayNet.serves_segments``), the whole call is
+        one kernel call, so the Python cost of a call is paid once for all
+        segments: the entry point for callers that serve many small
+        batches, like the serve farm answering each coalesced client frame
+        from its own row.  Other networks, and sessions opened with
+        ``checkpoint_every`` (whose cadence can cut inside a segment), go
+        through :meth:`serve_stream` segment by segment.
+        """
+        sources = node_ids(sources, "serve_segments")
+        targets = node_ids(targets, "serve_segments")
+        # Python ints: a call carries few segments, and list work on them
+        # is cheaper than NumPy's per-operation overhead.
+        counts = node_ids(counts, "serve_segments counts").tolist()
+        ends = list(accumulate(counts))
+        m = len(sources)
+        if (
+            len(targets) != m
+            or (counts and min(counts) < 0)
+            or (ends[-1] if ends else 0) != m
+        ):
+            raise ExperimentError(
+                "serve_segments needs equal-length sources and targets and"
+                " non-negative counts that sum to that length"
+            )
+        if (
+            counts
+            and self.checkpoint_every is None
+            and getattr(self.network, "serves_segments", False)
+        ):
+            t0 = time.perf_counter()
+            batch = self.network.serve_trace(
+                sources,
+                targets,
+                record_series=self.metrics.routing_series is not None,
+                ends=np.array(ends, dtype=np.int64),
+            )
+            self._account(batch, time.perf_counter() - t0)
+            return [
+                (count, *row)
+                for count, row in zip(counts, batch.segments.tolist())
+            ]
+        rows = []
+        start = 0
+        for end in ends:
+            batch = self.serve_stream(sources[start:end], targets[start:end])
+            rows.append(
+                (
+                    batch.m,
+                    batch.total_routing,
+                    batch.total_rotations,
+                    batch.total_links_changed,
+                )
+            )
+            start = end
+        return rows
+
+    def _account(self, batch: BatchServeResult, elapsed: float) -> None:
+        """Advance :attr:`metrics` by one served batch; checkpoint if due."""
+        metrics = self.metrics
+        if batch.m:
+            # Per-request latency attributed evenly across the batch — the
+            # right granularity for p50/p99 of a batched stream.
+            metrics.latency.record(elapsed / batch.m, batch.m)
+        if (
+            metrics.routing_series is not None
+            and batch.routing_series is not None
+        ):
+            metrics.routing_series.extend(batch.routing_series.tolist())
+            metrics.rotation_series.extend(batch.rotation_series.tolist())
+        # Auto-checkpoint between batches: metrics must already cover the
+        # batch when the snapshot is cut, so advance them first.
+        metrics.requests += batch.m
+        metrics.total_routing += batch.total_routing
+        metrics.total_rotations += batch.total_rotations
+        metrics.total_links_changed += batch.total_links_changed
+        self._count_toward_checkpoint(batch.m)
 
     def _fallback_serve_trace(
         self, sources, targets=None, *, record_series: bool = False

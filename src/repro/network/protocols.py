@@ -60,7 +60,9 @@ class BatchServeResult:
     The batched serve path (``network.serve_trace``) skips per-request
     :class:`ServeResult` construction and reports scalar totals; the
     optional per-request series are only materialized when the caller asks
-    for them (``record_series=True``).
+    for them (``record_series=True``).  ``segments`` holds one
+    ``(routing, rotations, links)`` row per segment when the batch was
+    served segmented (``serve_trace(..., ends=...)``).
     """
 
     m: int
@@ -69,6 +71,7 @@ class BatchServeResult:
     total_links_changed: int = 0
     routing_series: Optional[np.ndarray] = None
     rotation_series: Optional[np.ndarray] = None
+    segments: Optional[np.ndarray] = None
 
 
 @runtime_checkable

@@ -50,7 +50,13 @@ Pairs cross the worker pipe packed: every dispatch is one
 ``(keys, counts, sources, targets)`` message whose pairs are two
 contiguous int64 arrays (:func:`_pack`), whatever mix of lists and arrays
 the caller passed.  Non-integer node ids (floats, bools, objects) are
-rejected there rather than truncated.
+rejected there rather than truncated, and so is a dispatch holding any
+pair outside ``1..n`` (:class:`~repro.errors.RejectedRequestError`) —
+before anything of it is served.  The packer groups each key's entries
+into one contiguous run, and the worker serves each run with **one
+kernel call** (:meth:`~repro.net.session.Session.serve_segments`) that
+still returns every entry's own totals: the per-call Python cost is paid
+once per key run, not once per coalesced client frame.
 """
 
 from __future__ import annotations
@@ -67,8 +73,12 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import ExperimentError, ReliabilityError
-from repro.net.session import DEFAULT_CHUNK, LatencyStats
+from repro.errors import (
+    ExperimentError,
+    RejectedRequestError,
+    ReliabilityError,
+)
+from repro.net.session import DEFAULT_CHUNK, LatencyStats, node_ids
 from repro.net.spec import NetworkSpec
 from repro.network.protocols import BatchServeResult
 from repro.serving.health import (
@@ -151,52 +161,7 @@ class FarmMetrics:
         }
 
 
-def _int_elements(values) -> bool:
-    """Whether every element is an int or NumPy integer (never a bool)."""
-    return all(
-        kind is not bool and issubclass(kind, (int, np.integer))
-        for kind in set(map(type, values))
-    )
-
-
-def _bad_ids(what: str) -> ExperimentError:
-    return ExperimentError(
-        f"{what} node ids must be 1-D sequences of integers"
-        " (floats, bools and objects are rejected, not truncated)"
-    )
-
-
-def _node_ids(parts: list, what: str) -> np.ndarray:
-    """Concatenate one side's non-empty id parts into an int64 array.
-
-    Arrays are checked by dtype, other sequences element by element, so
-    no input is ever cast lossily.
-    """
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    arrays = []
-    for part in parts:
-        if type(part) is not np.ndarray:
-            if not _int_elements(part):
-                raise _bad_ids(what)
-            part = np.asarray(part)  # ints past int64 become objects
-        arrays.append(part)
-    # Integer dtypes whose every value fits int64 exactly.
-    if not all(
-        dtype.kind == "i" or (dtype.kind == "u" and dtype.itemsize < 8)
-        for dtype in {array.dtype for array in arrays}
-    ):
-        raise _bad_ids(what)
-    try:
-        ids = np.concatenate(arrays)
-    except ValueError:  # a 0-D part, or parts of different rank
-        raise _bad_ids(what) from None
-    if ids.ndim != 1:
-        raise _bad_ids(what)
-    return ids.astype(np.int64, copy=False)
-
-
-def _pack(batches, what: str):
+def _pack(batches, what: str, n: int):
     """Pack ``(key, sources, targets)`` entries into one serve message.
 
     Returns ``(packed, order)``.  ``packed`` is ``(keys, counts, sources,
@@ -205,7 +170,13 @@ def _pack(batches, what: str):
     changes no outcome — with every pair concatenated into two int64
     arrays.  ``order[j]`` is the input index of packed entry ``j``.  The
     grouping makes each key's pairs one contiguous run, which the
-    journal appends in one copy.
+    journal appends in one copy and the worker serves in one kernel
+    call.
+
+    Every pair is checked here, before anything is sent: a pair with
+    ``u != v`` and an id outside ``1..n`` raises
+    :class:`~repro.errors.RejectedRequestError` naming the offending
+    input entries, so a bad dispatch serves nothing.
     """
     batches = list(batches)
     runs: dict[Any, list[int]] = {}
@@ -225,13 +196,28 @@ def _pack(batches, what: str):
         if m:
             sources.append(src)
             targets.append(dst)
-    packed = (
-        keys,
-        counts,
-        _node_ids(sources, what),
-        _node_ids(targets, what),
-    )
-    return packed, order
+    # Both sides in one int64 array: one copy, and one pass of each
+    # bound over every id; the per-pair mask (a self-pair may be out of
+    # range) is only built when some id is.
+    parts = [node_ids(part, what) for part in sources + targets]
+    ids = np.concatenate(parts) if parts else np.empty(0, np.int64)
+    ids = ids.astype(np.int64, copy=False)
+    total = len(ids) // 2
+    sources, targets = ids[:total], ids[total:]
+    bad = ()
+    if total and (np.minimum.reduce(ids) < 1 or np.maximum.reduce(ids) > n):
+        bad = np.flatnonzero(
+            ((sources < 1) | (sources > n) | (targets < 1) | (targets > n))
+            & (sources != targets)
+        )
+    if len(bad):
+        entries = np.searchsorted(np.cumsum(counts), bad, side="right")
+        raise RejectedRequestError(
+            f"{what} node ids must be in 1..{n} (a self-pair u = v"
+            " excepted)",
+            entries=sorted({order[j] for j in entries.tolist()}),
+        )
+    return (keys, counts, sources, targets), order
 
 
 class _PairJournal:
@@ -308,7 +294,10 @@ def _worker_main(
     Messages in: ``("serve", (keys, counts, sources, targets), replay)``
     — one packed dispatch (see :func:`_pack`): entry ``i`` serves the
     next ``counts[i]`` pairs of the two int64 arrays on session
-    ``keys[i]``, through ``Session.serve_stream`` on array views;
+    ``keys[i]``.  Each key's run of consecutive entries is served by one
+    ``Session.serve_segments`` call on array views — one kernel call per
+    key run, not one per entry — which still answers every entry with its
+    own totals;
     ``("restore", [(key, snapshot, covered)])``; ``("status",)``;
     ``("metrics",)``; ``("close",)``.
     Every reply is a tuple whose first element is ``"ok"`` or ``"error"``;
@@ -365,31 +354,46 @@ def _worker_main(
                         kill_process(fault)
                     started = time.perf_counter()
                     cpu_started = time.process_time()
-                    details = []
+                    details: list[tuple[int, int, int, int]] = []
                     snapshots = []
                     start = 0
-                    for key, count in zip(keys, counts):
+                    for key, run in groupby(
+                        zip(keys, counts), key=itemgetter(0)
+                    ):
                         session = sessions.get(key)
                         if session is None:
                             session = open_session(spec_data)
                             sessions[key] = session
-                        end = start + count
-                        batch = session.serve_stream(
-                            sources[start:end], targets[start:end]
-                        )
-                        start = end
-                        details.append(
-                            (
-                                batch.m,
-                                batch.total_routing,
-                                batch.total_rotations,
-                                batch.total_links_changed,
+                        run = [count for _, count in run]
+                        while run:
+                            # One serve_segments call per key run.  With
+                            # checkpoints on, the run is split after the
+                            # entry where the cadence comes due, so
+                            # snapshots are cut at the same entry
+                            # boundaries as serving entry by entry.
+                            piece = len(run)
+                            if checkpoint_every:
+                                due = since_snapshot.get(key, 0)
+                                for piece, count in enumerate(run, 1):
+                                    due += count
+                                    if due >= checkpoint_every:
+                                        break
+                            served = sum(run[:piece])
+                            end = start + served
+                            details.extend(
+                                session.serve_segments(
+                                    sources[start:end],
+                                    targets[start:end],
+                                    run[:piece],
+                                )
                             )
-                        )
-                        if checkpoint_every:
-                            total = served_total.get(key, 0) + batch.m
+                            start = end
+                            run = run[piece:]
+                            if not checkpoint_every:
+                                continue
+                            total = served_total.get(key, 0) + served
                             served_total[key] = total
-                            since = since_snapshot.get(key, 0) + batch.m
+                            since = since_snapshot.get(key, 0) + served
                             if since >= checkpoint_every:
                                 try:
                                     snapshots.append(
@@ -811,7 +815,7 @@ class ServeFarm:
                     if e.size
                 ]
                 if replay:
-                    packed, _ = _pack(replay, "replay")
+                    packed, _ = _pack(replay, "replay", self.spec.n)
                     conn.send(("serve", packed, True))
                     reply = conn.recv()
                     if reply[0] == "error":
@@ -954,7 +958,7 @@ class ServeFarm:
         Concurrent calls for the same shard serialize on the shard lock.
         """
         self._check_open()
-        packed, order = _pack(batches, "serve_grouped")
+        packed, order = _pack(batches, "serve_grouped", self.spec.n)
         for key in dict.fromkeys(packed[0]):
             if self.router.shard_of(key) != shard:
                 raise ExperimentError(
@@ -981,7 +985,9 @@ class ServeFarm:
     def serve_batch(self, key: Any, sources, targets) -> BatchServeResult:
         """Serve one key's request batch on its owning shard."""
         self._check_open()
-        packed, _ = _pack([(key, sources, targets)], "serve_batch")
+        packed, _ = _pack(
+            [(key, sources, targets)], "serve_batch", self.spec.n
+        )
         m, routing, rotations, links = self._dispatch(
             {self.router.shard_of(key): packed}
         )
@@ -1014,7 +1020,7 @@ class ServeFarm:
                 break
             m, routing, rotations, links = self._dispatch(
                 {
-                    shard: _pack(batches, "serve_stream")[0]
+                    shard: _pack(batches, "serve_stream", self.spec.n)[0]
                     for shard, batches in self.router.group(block).items()
                 }
             )

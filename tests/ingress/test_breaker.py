@@ -117,6 +117,20 @@ class TestChoreography:
         assert brk.opens == 2
         assert brk.retry_after() == pytest.approx(1.0)  # full window again
 
+    def test_release_frees_a_probe_without_a_verdict(self):
+        # A probe refused as malformed says nothing about the shard.
+        brk, clock = breaker(threshold=2, probes=1)
+        brk.record_failure()
+        brk.release()  # closed: no effect on the failure streak
+        brk.record_failure()
+        assert brk.state == OPEN
+        clock.advance(1.0)
+        assert brk.allow()
+        assert not brk.allow()
+        brk.release()
+        assert brk.state == HALF_OPEN and brk.probe_successes == 0
+        assert brk.allow()  # the slot is free again
+
     def test_late_outcomes_while_open_are_ignored(self):
         # Acks for requests admitted before the trip must not
         # rehabilitate (or double-punish) the shard out of band.

@@ -164,6 +164,55 @@ class TestEndToEndExactness:
         assert windows < m / 2, f"{windows} dispatches for {m} requests"
 
 
+    def test_bad_frame_is_rejected_alone_in_its_window(self, tmp_path):
+        """An out-of-range frame gets ERROR on its own; the good frame
+        coalesced into the same window is still served, exactly."""
+        from repro.errors import IngressError
+
+        n = 16
+
+        async def run():
+            farm = ServeFarm("kary-splaynet", n=n, k=2, shards=1)
+            calls: list[list] = []
+            serve_grouped = farm.serve_grouped
+
+            def recording(shard, batches):
+                calls.append([key for key, _, _ in batches])
+                return serve_grouped(shard, batches)
+
+            farm.serve_grouped = recording
+            server = IngressServer(
+                farm, path=str(tmp_path / "ingress.sock"), batch_window=0.2
+            )
+            await server.start()
+            try:
+                async with AsyncIngressClient(path=server.address) as client:
+                    good, bad = await asyncio.gather(
+                        client.serve("good", 1, 9),
+                        client.serve("bad", 1, 99),
+                        return_exceptions=True,
+                    )
+                    metrics = await client.metrics()
+            finally:
+                await server.drain()
+            return good, bad, calls, metrics, server
+
+        good, bad, calls, metrics, server = asyncio.run(run())
+        assert isinstance(bad, IngressError)
+        assert "RejectedRequestError" in str(bad)
+        clean = open_session("kary-splaynet", n=n, k=2).serve(1, 9)
+        assert (good.m, good.total_routing, good.total_rotations) == (
+            1,
+            clean.routing_cost,
+            clean.rotations,
+        )
+        # One window held both frames; the retry served the good one.
+        assert calls == [["good", "bad"], ["good"]]
+        assert (server.served, server.errors, server.inflight) == (1, 1, 0)
+        assert server.admitted == server.served + server.errors
+        assert metrics["requests"] == 1
+
+
 class TestBackpressure:
     def test_full_shard_queue_stops_connection_reads(self):
         """With the dispatcher blocked and queue_depth=1, the server

@@ -361,6 +361,80 @@ class TestPackedDispatch:
             assert farm.metrics.requests == 0
 
 
+class TestRejectedDispatch:
+    """A dispatch holding an unservable pair serves nothing at all."""
+
+    def test_rejected_dispatch_leaves_sessions_and_journal_unchanged(self):
+        from repro.errors import RejectedRequestError, ReliabilityError
+
+        with ServeFarm("kary-splaynet", n=32, k=2, shards=1) as farm:
+            farm.serve_grouped(0, [("a", [4], [30])])
+            metrics = farm.session_metrics()
+            requests = farm.metrics.requests
+            with pytest.raises(RejectedRequestError, match="1..32") as info:
+                farm.serve_grouped(
+                    0,
+                    [
+                        ("a", [1, 3], [20, 17]),
+                        ("b", [1], [99]),
+                        ("c", [5], [5]),
+                        ("a", [0], [2]),
+                    ],
+                )
+            assert info.value.entries == (1, 3)
+            assert isinstance(info.value, ReliabilityError)
+            with pytest.raises(RejectedRequestError):
+                farm.serve_batch("a", [1, 2], [3, 33])
+            with pytest.raises(RejectedRequestError):
+                farm.serve_stream([("a", 1, 2), ("c", 3, 99)])
+            assert farm.session_metrics() == metrics
+            assert farm.metrics.requests == requests
+            journal = farm._journal[0]
+            assert set(journal) == {"a"}
+            assert journal["a"].size == 1 and journal["a"].ends == [1]
+            # An out-of-range self-pair is servable (cost 0), as ever.
+            result = farm.serve_grouped(0, [("a", [99], [99])])[0]
+            assert (result.m, result.total_routing) == (1, 0)
+
+    def test_checkpoint_split_runs_answer_every_entry(self):
+        """Key runs split at the snapshot cadence still answer per entry."""
+        n, k = 32, 3
+        rng = random.Random(11)
+        entries = []
+        for _ in range(12):
+            m = rng.choice((0, 1, 2, 5))
+            entries.append(
+                (
+                    rng.choice("ab"),
+                    [rng.randrange(1, n + 1) for _ in range(m)],
+                    [rng.randrange(1, n + 1) for _ in range(m)],
+                )
+            )
+        with ServeFarm(
+            "kary-splaynet", n=n, k=k, shards=1, checkpoint_every=4
+        ) as farm:
+            results = farm.serve_grouped(0, entries)
+            covered = {key: e.base for key, e in farm._journal[0].items()}
+        got = [
+            (r.m, r.total_routing, r.total_rotations, r.total_links_changed)
+            for r in results
+        ]
+        assert got == _clean_entry_totals(entries, n, k)
+        # Snapshots land where entry-by-entry serving would cut them.
+        for key, base in covered.items():
+            since, cuts = 0, [0]
+            done = 0
+            for entry_key, sources, _ in entries:
+                if entry_key != key:
+                    continue
+                since += len(sources)
+                done += len(sources)
+                if since >= 4:
+                    cuts.append(done)
+                    since = 0
+            assert base == cuts[-1]
+
+
 class TestPackedJournal:
     """The replay journal: one packed buffer per key, exact pruning."""
 
