@@ -15,14 +15,21 @@ the batched fast path) and serialized exactly like a bare one.
 Run:  python examples/adjustment_policies.py
 """
 
-from repro import CostModel, NetworkSpec, bar_chart, open_session, temporal_trace
+from repro import (
+    CostModel,
+    NetworkSpec,
+    bar_chart,
+    best_available_engine,
+    open_session,
+    temporal_trace,
+)
 
 N, M, SEED = 128, 15_000, 7
 
 
 def main() -> None:
     trace = temporal_trace(N, M, 0.9, SEED)
-    base = NetworkSpec("kary-splaynet", n=N, k=3, engine="flat")
+    base = NetworkSpec("kary-splaynet", n=N, k=3, engine=best_available_engine())
     specs = {
         "reactive (always)": base,
         "threshold > 2 hops": base.replace(

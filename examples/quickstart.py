@@ -24,7 +24,7 @@ def main() -> None:
 
     # A self-adjusting network of 64 nodes as a 4-ary search tree on the
     # fastest tree engine this process can use (the compiled "native"
-    # kernel where a C toolchain exists, the pure-Python "flat" engine
+    # kernel where a C toolchain exists, the pure-Python "object" engine
     # otherwise), starting from the complete (balanced) topology.  The
     # spec is data: it round-trips through JSON.
     spec = NetworkSpec("kary-splaynet", n=n, k=k, engine=best_available_engine())

@@ -9,7 +9,7 @@ baseline, and the full trace-driven evaluation harness.
 Quickstart
 ----------
 >>> from repro import open_session, uniform_trace
->>> session = open_session("kary-splaynet", n=64, k=4, engine="flat")
+>>> session = open_session("kary-splaynet", n=64, k=4, engine="object")
 >>> session.serve(3, 60)  # doctest: +SKIP
 ServeResult(routing_cost=6, rotations=4, links_changed=10)
 >>> session.serve_stream(uniform_trace(64, 1000, seed=1))  # doctest: +SKIP

@@ -115,7 +115,7 @@ def audit_splaynet_accesses(
     """
     audits: list[AccessAudit] = []
     for key in keys:
-        # Materialize the topology once per step: on the flat engine every
+        # Materialize the topology once per step: on the native engine every
         # ``net.tree`` access builds a fresh snapshot, so identity-keyed
         # lookups must all come from the same materialization.
         tree = net.tree

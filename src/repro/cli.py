@@ -15,11 +15,11 @@ Subcommands:
   records to either results backend (``--store jsonl|sqlite``), and
   ``export --to`` converts a campaign's record between backends
 * ``bench-store`` — results-store ingest/lookup throughput, JSONL vs SQLite
-* ``bench-hotpath`` — serve-loop throughput of the object vs. flat engine
+* ``bench-hotpath`` — serve-loop throughput of the object vs. native engine
 * ``bench-pipeline`` — end-to-end ``run_all`` time per engine
 * ``bench-optimal`` — optimal-tree DP subsystem vs. the legacy forward
   pass, plus the result-cache cold/warm trajectory
-* ``bench-servefarm`` — resident native vs. flat scalar serving, plus
+* ``bench-servefarm`` — resident native vs. object scalar serving, plus
   serve-farm shard scaling (aggregate req/s, p50/p99 latency)
 * ``serve`` — run the async socket ingress gateway in front of a serve
   farm (``--shards N --port P``; SIGTERM drains gracefully)
@@ -46,7 +46,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.core.engine import ENGINE_NAMES, ENGINES
 from repro.errors import ReproError
+from repro.experiments.servebench import SCALAR_MODES
 from repro.net.registry import build_network
 from repro.net.spec import PolicySpec
 from repro.network.cost import ROUTING_ONLY, UNIT_ROTATIONS
@@ -681,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rebuild threshold for the lazy network",
     )
     sim.add_argument(
-        "--engine", choices=("object", "flat", "native"), default=None,
+        "--engine", choices=ENGINE_NAMES, default=None,
         help="tree-engine backend for the self-adjusting networks",
     )
     sim.add_argument(
@@ -710,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="interleaved timing repeats per engine (best kept)",
     )
     bench.add_argument(
-        "--engines", nargs="+", choices=("object", "flat", "native"),
+        "--engines", nargs="+", choices=ENGINES,
         default=None,
         help="engine subset to measure (default: every available engine)",
     )
@@ -733,9 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the table cells (0 = all cores)",
     )
     rep.add_argument(
-        "--engine", choices=("object", "flat", "native"), default=None,
+        "--engine", choices=ENGINE_NAMES, default=None,
         help="tree-engine backend for the self-adjusting cells"
-             " (default: native, degrading to flat without the kernel;"
+             " (default: native, degrading to object without the kernel;"
              " totals are engine-independent)",
     )
     rep.add_argument(
@@ -772,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the cells (0 = all cores)",
     )
     scen_run.add_argument(
-        "--engine", choices=("object", "flat", "native"), default=None,
+        "--engine", choices=ENGINE_NAMES, default=None,
         help="tree-engine backend for the self-adjusting cells",
     )
     scen_run.add_argument(
@@ -815,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
     scen_export.add_argument("name", help="a name from `repro scenarios list`")
     scen_export.add_argument("--scale", default=None, choices=("smoke", "quick", "paper"))
     scen_export.add_argument(
-        "--engine", choices=("object", "flat", "native"), default=None,
+        "--engine", choices=ENGINE_NAMES, default=None,
         help="pin the tree engine in the exported specs",
     )
     scen_export.add_argument(
@@ -904,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="interleaved timing repeats (best kept)",
     )
     benchs.add_argument(
-        "--modes", nargs="+", choices=("resident", "flat"),
+        "--modes", nargs="+", choices=SCALAR_MODES,
         default=None,
         help="scalar mode subset (default: every mode measurable here)",
     )
@@ -936,9 +938,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("-n", "--nodes", type=int, default=1024)
     serve.add_argument("-k", type=int, default=4, help="tree arity")
     serve.add_argument(
-        "--engine", choices=("object", "flat", "native"), default=None,
+        "--engine", choices=ENGINE_NAMES, default=None,
         help="tree-engine backend for the workers (default: native,"
-             " degrading to flat without the kernel)",
+             " degrading to object without the kernel)",
     )
     serve.add_argument(
         "--batch-window", type=float, default=0.002,
@@ -1010,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pins the workload and the fault schedule (the replay handle)",
     )
     chaos.add_argument(
-        "--engine", choices=("object", "flat", "native"), default=None,
+        "--engine", choices=ENGINE_NAMES, default=None,
         help="tree-engine backend for the target's workers",
     )
     chaos.add_argument(

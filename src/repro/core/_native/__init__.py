@@ -9,9 +9,9 @@ content-addressed name, and loads it through :mod:`ctypes`.  Everything is
 best-effort — any failure (no compiler, read-only filesystem, a kernel
 source that does not compile, ``REPRO_NATIVE=0``) leaves the process in
 the *unavailable* state, recorded in :func:`build_error`: the engine
-layer degrades to the pure-Python flat backend (see
-:func:`repro.core.engine.resolve_engine`) and the DP to its NumPy forward
-pass.
+layer builds networks on the pure-Python object engine instead (see
+:func:`repro.core.engine.resolve_engine`) and the DP uses its NumPy
+forward pass.
 
 Environment knobs:
 
@@ -44,23 +44,19 @@ from repro.errors import FaultInjected
 from repro.reliability.faults import fire_fault
 
 __all__ = [
-    "MAX_NATIVE_K",
     "available",
     "build_error",
     "kernel_source_path",
     "load_kernel",
 ]
 
-#: Largest arity the kernel's stack scratch supports (mirror of
-#: ``RK_MAX_K`` in kernel.c and :data:`repro.core.keyspace.MAX_K`).
-MAX_NATIVE_K = 40
-
 #: Expected ``repro_kernel_abi()`` value; stale cached shared objects that
 #: report a different version are rebuilt.  Version 2 added the
 #: resident-tree handle API; version 3 removed the stateless batch entry;
 #: version 4 added the optimal-tree DP forward pass ``repro_dp_forward``;
-#: version 5 made ``repro_tree_serve_batch`` segmented (per-segment totals).
-_ABI_VERSION = 5
+#: version 5 made ``repro_tree_serve_batch`` segmented (per-segment totals);
+#: version 6 added ``repro_tree_splay_until`` and ``repro_tree_lca``.
+_ABI_VERSION = 6
 
 _COMPILERS = ("cc", "gcc", "clang")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-fvisibility=default")
@@ -192,6 +188,24 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_int64,  # v
         ctypes.c_int64,  # policy
         ctypes.c_void_p,  # totals
+    )
+    fn = lib.repro_tree_splay_until
+    fn.restype = ctypes.c_int64
+    fn.argtypes = (
+        ctypes.c_void_p,  # handle
+        ctypes.c_int64,  # x
+        ctypes.c_int64,  # stop (0 = the root)
+        ctypes.c_int64,  # max_rotations (negative = no cap)
+        ctypes.c_int64,  # policy
+        ctypes.c_void_p,  # out, int64 (3,): depth, rotations, links
+    )
+    fn = lib.repro_tree_lca
+    fn.restype = ctypes.c_int64
+    fn.argtypes = (
+        ctypes.c_void_p,  # handle
+        ctypes.c_int64,  # u
+        ctypes.c_int64,  # v
+        ctypes.c_void_p,  # out, int64 (3,): lca, du, dv
     )
     fn = lib.repro_tree_destroy
     fn.restype = None

@@ -1,13 +1,13 @@
 /* Native kernel: the k-ary SplayNet serve hot loop and the forward pass
  * of the Theorem 2 optimal-tree DP.
  *
- * Serve path.  A statement-for-statement translation of the depth-2
- * k-splay serve path of ``repro.core.flat.FlatTree`` (``serve_one`` ->
- * ``lca`` + ``splay_until`` -> ``semi_splay_fast`` / ``splay_fast``):
- * the epoch-stamped LCA walk, the k-semi-splay and k-splay rotation
- * groups with arithmetic subtree placement, and the routing/rotation/link
- * cost accounting.  It operates on the same flat identifier-indexed
- * layout the Python engine owns, loaded into kernel-owned buffers by
+ * Serve path.  The depth-2 k-splay discipline of the object engine
+ * (``repro.core.splaynet.KArySplayNet.serve`` -> ``splay_until`` ->
+ * ``k_semi_splay`` / ``k_splay`` in ``repro.core.rotations``): the
+ * epoch-stamped LCA walk, the k-semi-splay and k-splay rotation groups
+ * with arithmetic subtree placement, and the routing/rotation/link cost
+ * accounting.  It operates on the flat identifier-indexed layout of
+ * ``repro.core.flat.FlatTree``, loaded into kernel-owned buffers by
  * ``repro.core.native.NativeTree``:
  *
  *   parent[nid], pslot[nid]          int64, length n + 1 (0 = null)
@@ -15,17 +15,30 @@
  *   routing[nid * (k - 1) + j]       double, sorted separators per node
  *   visit[nid], vdepth[nid]          int64 scratch for the LCA walk
  *
+ * Arithmetic subtree placement: the separators of a child nest strictly
+ * inside one slot interval of its parent, so in the merged separator run
+ * of a rotation group the interval index of every hanging subtree follows
+ * from slot positions alone.  With y in slot sy of x and z in slot sz of
+ * y, a subtree at slot s of x has index s (+ 2(k-1) past sy), one at slot
+ * t of y has sy + t (+ k-1 past sz), and one at slot r of z has
+ * sy + sz + r.
+ *
+ * Besides serving batches, the handle answers the single operations the
+ * networks need between serves: repro_tree_splay_until (depth, splay to a
+ * stop or to the root, one semi-reactive step) and repro_tree_lca
+ * (distance), so no caller ever copies the tree out to rotate it.
+ *
  * One serve call takes a *segmented* batch: the requests of several
  * consecutive client frames for one tree, with one (routing, rotations,
  * links) totals row per frame, so the per-call cost on the Python side is
  * paid once per run of frames rather than once per frame.  A plain batch
  * is one segment.
  *
- * Structural equivalence with the Python engines is the contract: on any
+ * Structural equivalence with the object engine is the contract: on any
  * request batch this kernel must produce the identical topology and the
  * identical cost totals (enforced per request by tests/test_native_engine.py
- * and the tests/net hypothesis sweeps).  When editing, change flat.py
- * first, then mirror here.
+ * and the tests/core and tests/net hypothesis sweeps).  The object engine
+ * is the readable reference; change it first, then mirror here.
  *
  * DP forward pass.  ``repro_dp_forward`` fills the exact int64 table of
  * ``repro.optimal.general._forward_numpy`` (same recurrence, same
@@ -52,8 +65,10 @@
  * destroy); version 3 removed the stateless batch entry; version 4 added
  * the optimal-tree DP forward pass (repro_dp_forward); version 5 made
  * repro_tree_serve_batch segmented (one totals row per segment of the
- * batch, so one call answers many coalesced client frames). */
-#define RK_ABI_VERSION 5
+ * batch, so one call answers many coalesced client frames); version 6
+ * added repro_tree_splay_until and repro_tree_lca, so every query and
+ * rotation of a k-ary SplayNet runs on the resident handle. */
+#define RK_ABI_VERSION 6
 
 int64_t repro_kernel_abi(void) { return RK_ABI_VERSION; }
 
@@ -93,7 +108,7 @@ static int64_t rk_count_less(const double *a, int64_t len, double v)
 }
 
 /* k-semi-splay: promote y above its parent x (g = x's parent, may be 0).
- * Mirror of FlatTree.semi_splay_fast.  Returns g. */
+ * Mirror of repro.core.rotations.k_semi_splay.  Returns g. */
 static int64_t rk_semi(rk_ctx *c, int64_t y, int64_t x, int64_t g)
 {
     const int64_t k = c->k, km1 = c->km1;
@@ -226,7 +241,7 @@ static int64_t rk_semi(rk_ctx *c, int64_t y, int64_t x, int64_t g)
 }
 
 /* k-splay: promote z above parent y and grandparent x (both rotation
- * cases).  Mirror of FlatTree.splay_fast.
+ * cases).  Mirror of repro.core.rotations.k_splay.
  * Returns x's old parent (the climb continues from there). */
 static int64_t rk_splay(rk_ctx *c, int64_t z, int64_t y, int64_t x)
 {
@@ -753,20 +768,69 @@ static int64_t rk_splay(rk_ctx *c, int64_t z, int64_t y, int64_t x)
     return grand;
 }
 
-/* The per-request serve loop behind the resident-tree handle API
- * (mirror of FlatTree.serve_one).  ``c`` must be fully initialized (arity,
- * policy flags, buffers, root); epoch_io is a one-element in/out buffer;
- * totals is a three-element out buffer (routing, rotations, links);
- * routing_series / rotation_series are optional length-m out buffers
- * (both NULL or both set). */
+/* Rotate x upward until its parent is stop (0 = the root), doing at most
+ * cap rotations (a negative cap means no cap): a k-semi-splay when the
+ * grandparent is stop or the root, a k-splay otherwise (mirror of
+ * repro.core.splay.splay_until at depth 2).  Returns the rotations done;
+ * the link churn accumulates in c->lk.  The caller guarantees that stop
+ * is 0 or a proper ancestor of x. */
+static int64_t rk_splay_until(rk_ctx *c, int64_t x, int64_t stop, int64_t cap)
+{
+    const int64_t *parent = c->parent;
+    int64_t rot = 0;
+    int64_t p = parent[x];
+    while (p != stop && rot != cap) {
+        const int64_t g = parent[p];
+        rot++;
+        if (g == stop || g == 0)
+            p = rk_semi(c, x, p, g);
+        else
+            p = rk_splay(c, x, p, g);
+    }
+    return rot;
+}
+
+/* Lowest common ancestor of u and v: one walk up from u stamps its
+ * ancestor chain with a fresh epoch, the walk up from v stops at the
+ * first stamped node.  Returns the LCA; *du / *dv are the climbs from u
+ * and v to it. */
+static int64_t rk_lca(const int64_t *parent, int64_t *visit, int64_t *vdepth,
+                      int64_t *epoch_io, int64_t u, int64_t v, int64_t *du,
+                      int64_t *dv)
+{
+    const int64_t epoch = ++*epoch_io;
+    int64_t node = u, d = 0;
+    while (node) {
+        visit[node] = epoch;
+        vdepth[node] = d;
+        node = parent[node];
+        d++;
+    }
+    node = v;
+    d = 0;
+    while (visit[node] != epoch) {
+        node = parent[node];
+        d++;
+    }
+    *du = vdepth[node];
+    *dv = d;
+    return node;
+}
+
+/* The per-request serve loop behind the resident-tree handle API (mirror
+ * of KArySplayNet.serve on the object engine: splay u into the LCA's
+ * position, then v up to a child of u).  ``c`` must be fully initialized
+ * (arity, policy flags, buffers, root); epoch_io is a one-element in/out
+ * buffer; totals is a three-element out buffer (routing, rotations,
+ * links); routing_series / rotation_series are optional length-m out
+ * buffers (both NULL or both set). */
 static void rk_serve_requests(rk_ctx *c, int64_t *visit, int64_t *vdepth,
                               int64_t *epoch_io, const int64_t *sources,
                               const int64_t *targets, int64_t m,
                               int64_t *routing_series,
                               int64_t *rotation_series, int64_t *totals)
 {
-    int64_t *parent = c->parent;
-    int64_t epoch = *epoch_io;
+    const int64_t *parent = c->parent;
     int64_t total_r = 0, total_rot = 0, total_l = 0;
     const int rec = (routing_series != NULL);
 
@@ -788,56 +852,20 @@ static void rk_serve_requests(rk_ctx *c, int64_t *visit, int64_t *vdepth,
             }
             continue;
         }
-        /* --- LCA by stamping u's ancestor chain ---------------------- */
-        epoch++;
-        int64_t node = u, d = 0;
-        while (node) {
-            visit[node] = epoch;
-            vdepth[node] = d;
-            node = parent[node];
-            d++;
-        }
-        node = v;
-        int64_t dv = 0;
-        while (visit[node] != epoch) {
-            node = parent[node];
-            dv++;
-        }
-        const int64_t req_routing = vdepth[node] + dv;
+        int64_t du, dv;
+        const int64_t w = rk_lca(parent, visit, vdepth, epoch_io, u, v, &du,
+                                 &dv);
+        const int64_t req_routing = du + dv;
         total_r += req_routing;
-        int64_t rot = 0;
         c->lk = 0;
-        /* --- splay u into the LCA's position, then v below u --------- */
-        int64_t climb, stop;
-        int final;
-        if (node == v) {
-            climb = u;
-            stop = v;
-            final = 1;
-        } else if (node == u) {
-            climb = v;
-            stop = u;
-            final = 1;
-        } else {
-            climb = u;
-            stop = parent[node];
-            final = 0;
-        }
-        for (;;) {
-            int64_t p = parent[climb];
-            while (p != stop) {
-                const int64_t g = parent[p];
-                rot++;
-                if (g == stop || g == 0)
-                    p = rk_semi(c, climb, p, g);
-                else
-                    p = rk_splay(c, climb, p, g);
-            }
-            if (final)
-                break;
-            climb = v;
-            stop = u;
-            final = 1;
+        int64_t rot;
+        if (w == v)
+            rot = rk_splay_until(c, u, v, -1);
+        else if (w == u)
+            rot = rk_splay_until(c, v, u, -1);
+        else {
+            rot = rk_splay_until(c, u, parent[w], -1);
+            rot += rk_splay_until(c, v, u, -1);
         }
         total_rot += rot;
         total_l += c->lk;
@@ -847,7 +875,6 @@ static void rk_serve_requests(rk_ctx *c, int64_t *visit, int64_t *vdepth,
         }
     }
 
-    *epoch_io = epoch;
     totals[0] = total_r;
     totals[1] = total_rot;
     totals[2] = total_l;
@@ -1010,6 +1037,56 @@ int64_t repro_tree_serve_one(void *handle, int64_t u, int64_t v,
     const int64_t end[1] = {1};
     return repro_tree_serve_batch(handle, src, dst, end, 1, policy, 0, 0,
                                   totals);
+}
+
+/* Rotate x upward on the resident tree until its parent is stop (0 = the
+ * root), at most max_rotations rotations (negative: no cap), with the
+ * serve path's own rotation loop.  A cap of 0 rotates nothing and only
+ * measures; a cap of 1 is one k-splay or k-semi-splay step.  out is a
+ * three-element buffer: x's depth before the call, the rotations done and
+ * the link churn.  Returns 0 on success; nothing is touched and 1 is
+ * returned for a policy outside 0..2, 2 for an x outside 1..n, 3 for a
+ * stop that is neither 0 nor a proper ancestor of x (stop == x
+ * included). */
+int64_t repro_tree_splay_until(void *handle, int64_t x, int64_t stop,
+                               int64_t max_rotations, int64_t policy,
+                               int64_t *out)
+{
+    rk_tree *t = (rk_tree *)handle;
+    rk_ctx c;
+    if (policy < 0 || policy > 2 ||
+        !rk_ctx_init(&c, t->k, policy, t->parent, t->pslot, t->children,
+                     t->routing, t->root))
+        return 1;
+    if (x < 1 || x > t->n)
+        return 2;
+    int64_t depth = 0, seen = (stop == 0);
+    for (int64_t node = t->parent[x]; node; node = t->parent[node]) {
+        depth++;
+        seen |= (node == stop);
+    }
+    if (!seen)
+        return 3;
+    out[0] = depth;
+    out[1] = rk_splay_until(&c, x, stop, max_rotations);
+    out[2] = c.lk;
+    t->root = c.root;
+    return 0;
+}
+
+/* Lowest common ancestor of u and v on the resident tree, by the serve
+ * path's stamping walk.  out is a three-element buffer: the LCA and the
+ * climbs from u and from v to it (their sum is the tree distance).
+ * Returns 0 on success, 2 (touching nothing) when u or v is outside
+ * 1..n. */
+int64_t repro_tree_lca(void *handle, int64_t u, int64_t v, int64_t *out)
+{
+    rk_tree *t = (rk_tree *)handle;
+    if (u < 1 || u > t->n || v < 1 || v > t->n)
+        return 2;
+    out[0] = rk_lca(t->parent, t->visit, t->vdepth, &t->epoch, u, v,
+                    out + 1, out + 2);
+    return 0;
 }
 
 void repro_tree_destroy(void *handle)

@@ -172,16 +172,23 @@ class CentroidSplayNet:
             return self.subnets[iu]._serve_totals(
                 u - block.lo + 1, v - block.lo + 1
             )
-        routing_cost = self.distance(u, v)
-        rotations = 0
-        links = 0
+        # Each endpoint climbs from its subtree to its centroid and is then
+        # splayed to its subtree root; the endpoints sit in different
+        # subtrees, so measuring one while adjusting the other is exact.
+        routing_cost = rotations = links = 0
+        sides = []
         for idx, endpoint in ((iu, u), (iv, v)):
-            if idx < 0:
-                continue  # centroids stay put
+            if idx < 0:  # centroids stay put
+                sides.append(1 if endpoint == self.c1 else 2)
+                continue
             block = self._blocks[idx]
-            r, l = self.subnets[idx].splay_to_root(endpoint - block.lo + 1)
-            rotations += r
-            links += l
+            served = self.subnets[idx].access(endpoint - block.lo + 1)
+            routing_cost += served.routing_cost + 1
+            rotations += served.rotations
+            links += served.links_changed
+            sides.append(block.attach)
+        if sides[0] != sides[1]:
+            routing_cost += 1  # the c1 - c2 edge
         return routing_cost, rotations, links
 
     def serve(self, u: int, v: int) -> ServeResult:

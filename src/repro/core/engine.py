@@ -1,31 +1,37 @@
 """Tree-engine selection for the self-adjusting networks.
 
-The library ships three interchangeable backends for the k-ary search tree
+The library ships two interchangeable backends for the k-ary search tree
 hot loop:
 
-* ``"object"`` — the original pointer-linked :class:`~repro.core.node.KAryNode`
+* ``"object"`` — the pointer-linked :class:`~repro.core.node.KAryNode`
   graph.  Every node is a Python object; rotations rewire attributes.  This
   backend is the reference implementation: it carries the paranoid
-  per-rotation invariant checks used by the test suite and is the natural
-  representation for structural inspection, rendering and export.
-* ``"flat"`` — the structure-of-arrays engine in :mod:`repro.core.flat`.
-  All node state lives in preallocated flat arrays indexed by node
-  identifier (``parent``, ``pslot``, ``children[nid*k + slot]``,
-  ``routing[nid*(k-1) + j]``, ``smin``, ``smax``) and the k-splay /
-  k-semi-splay rotations are reimplemented as index arithmetic, which
-  removes per-request attribute lookups, helper-call overhead and
-  intermediate object allocation from the serve loop.
+  per-rotation invariant checks used by the test suite, is the natural
+  representation for structural inspection, rendering and export, and is
+  the fallback wherever the kernel cannot serve.
 * ``"native"`` — the compiled C kernel behind :mod:`repro.core.native`:
-  the same flat layout, with the batched serve loop executed by
-  ``src/repro/core/_native/kernel.c`` (built on demand with the local C
-  toolchain).  When no toolchain is available the engine degrades to
-  ``"flat"`` with a one-time warning, so ``engine="native"`` is always
-  safe to request.
+  the tree lives in the flat structure-of-arrays layout of
+  :mod:`repro.core.flat`, resident in a kernel handle, and every serve,
+  query and rotation runs in ``src/repro/core/_native/kernel.c`` (built on
+  demand with the local C toolchain).
 
-All backends are kept *structurally equivalent*: on the same request
+Both backends are kept *structurally equivalent*: on the same request
 sequence they produce identical topologies and identical cost totals
-(enforced by ``tests/test_flat_engine.py`` and
-``tests/test_native_engine.py``).
+(enforced by ``tests/test_native_engine.py`` and the tests/core and
+tests/net sweeps).
+
+The engine is fixed when a network is built, by :func:`resolve_engine`,
+which sends three cases to ``"object"``:
+
+* ``"native"`` without the kernel (``REPRO_NATIVE=0`` or no C toolchain;
+  a one-time ``RuntimeWarning`` says so);
+* a deep splay (``splay_depth != 2``), which only the object engine runs;
+* the name ``"flat"``, accepted for the pure-Python array engine that
+  earlier versions shipped.
+
+A native tree loads its kernel handle when it is built and keeps the
+library loaded, so a kernel that becomes unavailable later in the
+process does not affect networks already built.
 
 Networks accept an ``engine=`` keyword (threaded through
 :class:`~repro.core.splaynet.KArySplayNet` and
@@ -47,24 +53,40 @@ from repro.errors import EngineError
 
 __all__ = [
     "ENGINES",
+    "ENGINE_NAMES",
     "best_available_engine",
+    "check_engine_name",
     "default_engine",
-    "engine_tree_class",
     "native_available",
     "set_default_engine",
     "resolve_engine",
     "as_request_lists",
     "as_request_arrays",
-    "accumulate_serve_totals",
     "batch_serve",
 ]
 
 #: The available tree-engine backends.
-ENGINES = ("object", "flat", "native")
+ENGINES = ("object", "native")
+
+#: Engine names still accepted that resolve to another engine.
+_ALIASES = {"flat": "object"}
+
+#: Every name an ``engine=`` argument accepts.
+ENGINE_NAMES = ENGINES + tuple(_ALIASES)
 
 _default_engine = os.environ.get("REPRO_ENGINE", "object")
 
 _native_fallback_warned = False
+
+
+def check_engine_name(name: Optional[str], error=EngineError) -> None:
+    """Raise ``error`` unless ``name`` is ``None``, an engine or an alias.
+
+    The one check behind every ``engine=`` field (network, task, scenario
+    and benchmark specs), so an accepted name is accepted everywhere.
+    """
+    if name is not None and name not in ENGINE_NAMES:
+        raise error(f"unknown engine {name!r}; choose from {ENGINES}")
 
 
 def native_available() -> bool:
@@ -82,11 +104,11 @@ def native_available() -> bool:
 def best_available_engine() -> str:
     """The fastest tree engine usable in this process.
 
-    ``"native"`` when the compiled kernel is available, else ``"flat"``.
+    ``"native"`` when the compiled kernel is available, else ``"object"``.
     The examples and benchmarks route their default engine choice through
     here so they automatically pick up the kernel where it exists.
     """
-    return "native" if native_available() else "flat"
+    return "native" if native_available() else "object"
 
 
 def _warn_native_unavailable() -> None:
@@ -99,7 +121,7 @@ def _warn_native_unavailable() -> None:
     warnings.warn(
         "engine='native' requested but the compiled serve kernel is"
         f" unavailable ({_native.build_error()}); falling back to the"
-        " pure-Python 'flat' engine",
+        " pure-Python 'object' engine",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -112,57 +134,36 @@ def default_engine() -> str:
     variable surfaces as a catchable :class:`EngineError` at the call site
     instead of breaking ``import repro``.
     """
-    if _default_engine not in ENGINES:
-        raise EngineError(
-            f"REPRO_ENGINE={_default_engine!r} is not one of {ENGINES}"
-        )
+    check_engine_name(_default_engine)
     return _default_engine
 
 
 def set_default_engine(name: str) -> None:
     """Set the process-wide default engine for networks built afterwards."""
     global _default_engine
-    if name not in ENGINES:
-        raise EngineError(f"unknown engine {name!r}; choose from {ENGINES}")
+    check_engine_name(name)
     _default_engine = name
 
 
-def resolve_engine(name: Optional[str]) -> str:
-    """Validate an ``engine=`` argument; ``None`` means the default.
+def resolve_engine(name: Optional[str], *, splay_depth: int = 2) -> str:
+    """The engine a network asked for ``name`` is built on.
 
-    ``"native"`` degrades gracefully: when the compiled kernel cannot be
-    built or loaded in this process the resolution is ``"flat"`` (the
-    structurally-identical pure-Python engine) and a ``RuntimeWarning``
-    is emitted once per process.
+    ``None`` means the default.  ``"flat"`` resolves to ``"object"``, and
+    so does ``"native"`` for a deep splay (``splay_depth != 2``) or
+    without the compiled kernel (with a ``RuntimeWarning``, once per
+    process).  The result is always one of :data:`ENGINES`.
     """
     if name is None:
         name = default_engine()
-    elif name not in ENGINES:
-        raise EngineError(f"unknown engine {name!r}; choose from {ENGINES}")
-    if name == "native" and not native_available():
-        _warn_native_unavailable()
-        return "flat"
-    return name
-
-
-def engine_tree_class(name: str):
-    """The :class:`~repro.core.flat.FlatTree` subclass behind an engine.
-
-    Valid for the array-backed engines only (``"flat"`` / ``"native"``);
-    the object engine has no flat backing class.  Imported lazily — the
-    flat modules import helpers from here at load time.
-    """
-    if name == "flat":
-        from repro.core.flat import FlatTree
-
-        return FlatTree
+    check_engine_name(name)
+    name = _ALIASES.get(name, name)
     if name == "native":
-        from repro.core.native import NativeTree
-
-        return NativeTree
-    raise EngineError(
-        f"engine {name!r} has no flat tree class (choose 'flat' or 'native')"
-    )
+        if splay_depth != 2:
+            return "object"
+        if not native_available():
+            _warn_native_unavailable()
+            return "object"
+    return name
 
 
 def as_request_lists(sources, targets=None) -> tuple[list[int], list[int]]:
@@ -213,45 +214,14 @@ def as_request_arrays(sources, targets=None) -> tuple[np.ndarray, np.ndarray]:
     return us, vs
 
 
-def accumulate_serve_totals(
-    serve_totals,
-    sources,
-    targets,
-    routing_series=None,
-    rotation_series=None,
-) -> tuple[int, int, int]:
-    """Accumulate a scalar serving callable over a request batch.
+def batch_serve(serve_totals, sources, targets=None, *, record_series=False):
+    """The generic ``serve_trace`` body: loop a scalar serving core.
 
     ``serve_totals(u, v)`` must return ``(routing, rotations, links)``
-    tuples; the optional series buffers are filled per request, and the
-    batch ends with the shorter of ``sources`` / ``targets`` (``zip``
-    semantics).  This is the batch loop behind every ``serve_trace``
-    that has no vectorized or compiled batch path of its own.
-    """
-    total_r = total_rot = total_l = 0
-    if routing_series is not None:
-        for i, (u, v) in enumerate(zip(sources, targets)):
-            r, ro, l = serve_totals(u, v)
-            total_r += r
-            total_rot += ro
-            total_l += l
-            routing_series[i] = r
-            rotation_series[i] = ro
-    else:
-        for u, v in zip(sources, targets):
-            r, ro, l = serve_totals(u, v)
-            total_r += r
-            total_rot += ro
-            total_l += l
-    return total_r, total_rot, total_l
-
-
-def batch_serve(serve_totals, sources, targets=None, *, record_series=False):
-    """The generic ``serve_trace`` body: accumulate a scalar serving core.
-
-    Wraps :func:`as_request_lists` + :func:`accumulate_serve_totals` +
-    result packing, so networks whose batch path is "loop the scalar core"
-    share one implementation.  Returns a
+    tuples.  The batch is normalized by :func:`as_request_lists`, totals
+    accumulate as scalars and per-request series are filled only with
+    ``record_series``, so networks whose batch path is "loop the scalar
+    core" share one implementation.  Returns a
     :class:`~repro.network.protocols.BatchServeResult`.
     """
     from repro.network.protocols import BatchServeResult
@@ -259,12 +229,23 @@ def batch_serve(serve_totals, sources, targets=None, *, record_series=False):
     src, dst = as_request_lists(sources, targets)
     m = len(src)
     routing_series = rotation_series = None
+    total_r = total_rot = total_l = 0
     if record_series:
         routing_series = np.empty(m, dtype=np.int64)
         rotation_series = np.empty(m, dtype=np.int64)
-    totals = accumulate_serve_totals(
-        serve_totals, src, dst, routing_series, rotation_series
-    )
+        for i, (u, v) in enumerate(zip(src, dst)):
+            r, ro, l = serve_totals(u, v)
+            total_r += r
+            total_rot += ro
+            total_l += l
+            routing_series[i] = r
+            rotation_series[i] = ro
+    else:
+        for u, v in zip(src, dst):
+            r, ro, l = serve_totals(u, v)
+            total_r += r
+            total_rot += ro
+            total_l += l
     return BatchServeResult(
-        m, totals[0], totals[1], totals[2], routing_series, rotation_series
+        m, total_r, total_rot, total_l, routing_series, rotation_series
     )

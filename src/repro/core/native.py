@@ -1,31 +1,29 @@
 """The compiled tree engine: :class:`NativeTree` behind ``engine="native"``.
 
-``NativeTree`` is a :class:`~repro.core.flat.FlatTree` whose serve paths
-run in the C kernel of :mod:`repro.core._native`, and whose
-authoritative state lives in a **resident kernel handle** between calls.
-The state protocol:
+``NativeTree`` is a :class:`~repro.core.flat.FlatTree` whose state lives
+in a **resident kernel handle** of :mod:`repro.core._native`, and every
+operation of a k-ary SplayNet runs there:
 
-* The first kernel serve allocates a handle (``repro_tree_create``) and
-  loads the list-backed flat state into it once (``repro_tree_load``).
-  While the handle is *resident*, batches (``repro_tree_serve_batch``)
-  and single requests (``repro_tree_serve_one``) run against the
-  C-owned buffers with zero per-call marshalling — the scalar path costs
-  one ctypes call, not an O(n·k) pack/unpack round trip.  A batch may be
-  segmented (``serve_many(..., ends=...)``): one call, one totals row
-  per segment.
-* Any consumer of the Python list state — snapshot/copy, signature,
-  ``to_tree``, validation, LCA/depth queries, the Python-side rotation
-  entry points, cross-engine transfer via :meth:`FlatTree.from_flat` —
-  triggers :meth:`_sync_lists` first: one ``repro_tree_sync_out`` copies
-  the resident buffers back into the lists (in place, so long-lived
-  aliases stay valid) and clears the resident flag.  The next kernel
-  serve reloads the handle.  This is the dirty-flag sync the equivalence
-  and snapshot suites pin down.
+* batches (``repro_tree_serve_batch``, optionally segmented: one call,
+  one totals row per segment) and single requests
+  (``repro_tree_serve_one``);
+* ``depth``, ``splay_until`` / splay to the root, and the one-step
+  semi-reactive rotation (``repro_tree_splay_until`` with a rotation cap
+  of 0, none and 1);
+* ``lca`` / ``distance`` (``repro_tree_lca``).
 
-Unsupported configurations (deep-splay ``depth != 2``, arity beyond the
-kernel's static scratch, a kernel that failed to load after construction)
-sync and delegate to the inherited pure-Python path, which is
-structurally identical by the engine-equivalence contract.
+The handle is created and loaded when the tree is built
+(:meth:`from_tree` / :meth:`from_flat`), so a tree that exists has a
+kernel to serve on.  The Python lists of the flat layout are a mirror:
+consumers that read them — snapshot/copy, ``signature``, ``to_tree``,
+``validate``, cross-engine transfer — call :meth:`_sync_lists` first,
+which copies the handle out once after the kernel changed it.
+
+The engine serves the paper's depth-2 discipline only.  Which networks
+get a native tree is decided when they are built, in
+:func:`repro.core.engine.resolve_engine`: without the kernel, or with a
+deep splay (``splay_depth != 2``), networks are built on the object
+engine instead.
 """
 
 from __future__ import annotations
@@ -43,6 +41,15 @@ __all__ = ["NativeTree"]
 
 #: Block-policy encoding shared with kernel.c.
 _POLICY_CODES = {"center": 0, "left": 1, "right": 2}
+
+
+def _policy_code(policy: str) -> int:
+    code = _POLICY_CODES.get(policy)
+    if code is None:
+        raise RotationError(
+            f"unknown block policy {policy!r}; choose from {BLOCK_POLICIES}"
+        )
+    return code
 
 
 def _segment_ends(ends, m: int) -> np.ndarray:
@@ -76,16 +83,14 @@ def _segment_ends(ends, m: int) -> np.ndarray:
 class NativeTree(FlatTree):
     """A :class:`FlatTree` served by the C kernel via a resident handle."""
 
-    __slots__ = ("_lib", "_handle", "_resident", "_c_totals")
-
-    prefers_request_arrays = True
+    __slots__ = ("_lib", "_handle", "_lists_stale", "_out")
 
     def __init__(self, n: int, k: int) -> None:
         super().__init__(n, k)
         self._lib = None  # the CDLL that owns _handle (survives loader resets)
         self._handle = None
-        self._resident = False
-        self._c_totals = None
+        self._lists_stale = False
+        self._out = (ctypes.c_int64 * 3)()
 
     def __del__(self) -> None:
         try:
@@ -100,10 +105,30 @@ class NativeTree(FlatTree):
             self._handle = None
 
     # ------------------------------------------------------------------
-    # resident-state protocol
+    # the resident handle
     # ------------------------------------------------------------------
-    def _pack(self):
-        """Marshal the list-backed state into contiguous buffers (O(n·k))."""
+    @classmethod
+    def from_tree(cls, tree) -> "NativeTree":
+        """Snapshot an object-engine tree into a loaded kernel handle."""
+        return super().from_tree(tree)._load()
+
+    @classmethod
+    def from_flat(cls, other: FlatTree) -> "NativeTree":
+        """A native copy of ``other``'s topology, loaded into a new handle."""
+        return super().from_flat(other)._load()
+
+    def _load(self) -> "NativeTree":
+        """Allocate the handle and load the list state into it (O(n·k))."""
+        kernel = _native.load_kernel()
+        if kernel is None:
+            raise EngineError(
+                "a native tree needs the compiled kernel"
+                f" ({_native.build_error()})"
+            )
+        handle = kernel.repro_tree_create(self.n, self.k)
+        if not handle:  # pragma: no cover - malloc failure
+            raise EngineError("native tree handle allocation failed")
+        self._lib, self._handle = kernel, handle
         n, km1 = self.n, self.k - 1
         parent = np.array(self.parent, dtype=np.int64)
         pslot = np.array(self.pslot, dtype=np.int64)
@@ -111,51 +136,23 @@ class NativeTree(FlatTree):
         routing = np.zeros((n + 1, km1), dtype=np.float64)
         if n:
             routing[1:] = self.routing_rows[1:]
-        return parent, pslot, children, routing
-
-    def _ensure_resident(self):
-        """Make the kernel handle authoritative; returns it (or ``None``).
-
-        Allocates the handle on first use and loads the current list
-        state whenever the lists are authoritative (after construction,
-        after a sync-out, after Python-side rotations).  ``None`` means
-        the kernel cannot own this tree (no kernel, or allocation
-        failed) and the caller must take the pure-Python path.
-        """
-        if self._resident:
-            return self._handle
-        kernel = _native.load_kernel()
-        if kernel is None:
-            return None
-        if self._handle is None:
-            handle = kernel.repro_tree_create(self.n, self.k)
-            if not handle:
-                return None
-            self._lib = kernel
-            self._handle = handle
-            self._c_totals = (ctypes.c_int64 * 3)()
-        parent, pslot, children, routing = self._pack()
-        self._lib.repro_tree_load(
-            self._handle,
+        kernel.repro_tree_load(
+            handle,
             self.root,
             parent.ctypes.data,
             pslot.ctypes.data,
             children.ctypes.data,
             routing.ctypes.data,
         )
-        self._resident = True
-        return self._handle
+        return self
 
     def _sync_lists(self) -> None:
-        """Dirty-flag sync: copy resident kernel state back into the lists.
+        """Copy the handle's state into the lists if the kernel changed it.
 
-        No-op unless the handle is authoritative.  Updates the lists *in
-        place* so references handed out earlier (e.g. a bound
-        ``flat.parent`` in :meth:`KArySplayNet.serve_semi`) observe the
-        synced state.  After the sync the lists are authoritative again;
-        the next kernel serve reloads the handle.
+        Updates the lists *in place*, so references handed out earlier
+        observe the synced state.  The handle stays authoritative.
         """
-        if not self._resident:
+        if not self._lists_stale:
             return
         n, k, km1 = self.n, self.k, self.k - 1
         parent = np.empty(n + 1, dtype=np.int64)
@@ -178,57 +175,93 @@ class NativeTree(FlatTree):
         rows[0] = []
         self.routing_rows[:] = rows
         self.root = int(root_out[0])
-        self._resident = False
+        self._lists_stale = False
+
+    def _check_id(self, nid: int) -> None:
+        if not 1 <= nid <= self.n:
+            raise EngineError(
+                f"request identifiers must be in 1..{self.n} for the"
+                " native kernel"
+            )
+
+    # ------------------------------------------------------------------
+    # queries and rotations on the handle
+    # ------------------------------------------------------------------
+    def lca(self, u: int, v: int) -> tuple[int, int, int]:
+        """``(lca, du, dv)`` — common ancestor and climb distances."""
+        out = self._out
+        if self._lib.repro_tree_lca(self._handle, u, v, out):
+            self._check_id(u)
+            self._check_id(v)
+        return out[0], out[1], out[2]
+
+    def distance(self, u: int, v: int) -> int:
+        """Tree distance (in edges) between identifiers ``u`` and ``v``."""
+        if u == v:
+            return 0
+        _, du, dv = self.lca(u, v)
+        return du + dv
+
+    def splay_until(
+        self,
+        node: int,
+        stop: int,
+        *,
+        policy: str = "center",
+        max_rotations: int = -1,
+    ) -> tuple[int, int, int]:
+        """Rotate ``node`` upward until its parent is ``stop`` (0 = root).
+
+        At most ``max_rotations`` rotations (negative: no cap; 0 only
+        measures).  Returns ``(depth_before, rotations, links)``: the
+        depth of ``node`` before the call, and the rotations and link
+        churn of the climb — the depth-2 discipline of
+        :func:`repro.core.splay.splay_until`.
+        """
+        out = self._out
+        status = self._lib.repro_tree_splay_until(
+            self._handle, node, stop, max_rotations, _policy_code(policy), out
+        )
+        if status:
+            self._check_id(node)
+            raise RotationError(
+                f"stop {stop} is neither the root marker 0 nor a proper"
+                f" ancestor of {node}"
+            )
+        if out[1]:
+            self._lists_stale = True
+        return out[0], out[1], out[2]
+
+    def depth(self, nid: int) -> int:
+        """Depth of ``nid`` (root has depth 0)."""
+        return self.splay_until(nid, 0, max_rotations=0)[0]
 
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
     def serve_one(
-        self, u: int, v: int, policy: str = "center", depth: int = 2
+        self, u: int, v: int, policy: str = "center"
     ) -> tuple[int, int, int]:
         """Serve one request through the resident scalar kernel entry.
 
-        The ``Session.serve`` hot path: no batch marshalling, no state
-        copies — one ctypes call against the resident handle.  Falls back
-        to the (equivalent) pure-Python path for deep splay, oversized
-        arity, or a missing kernel.
+        The ``Session.serve`` hot path: one ctypes call against the
+        resident handle, no state copies.
         """
-        code = _POLICY_CODES.get(policy)
-        if code is None:
-            raise RotationError(
-                f"unknown block policy {policy!r}; choose from {BLOCK_POLICIES}"
-            )
-        if depth != 2 or self.k > _native.MAX_NATIVE_K:
-            self._sync_lists()
-            return super().serve_one(u, v, policy, depth)
+        code = _policy_code(policy)
         if u == v:
-            # Mirrors the engines' self-pair short-circuit, including for
-            # out-of-range identifiers (served at cost 0, never indexed).
+            # Mirrors the object engine's self-pair short-circuit, including
+            # for out-of-range identifiers (served at cost 0, never indexed).
             return 0, 0, 0
-        n = self.n
-        if not (1 <= u <= n) or not (1 <= v <= n):
-            raise EngineError(
-                f"request identifiers must be in 1..{n} for the native kernel"
-            )
-        if self._ensure_resident() is None:
-            self._sync_lists()
-            return super().serve_one(u, v, policy, depth)
-        totals = self._c_totals
+        self._check_id(u)
+        self._check_id(v)
+        totals = self._out
         status = self._lib.repro_tree_serve_one(
             self._handle, u, v, code, totals
         )
-        if status != 0:  # pragma: no cover - arity guarded above
+        if status != 0:  # pragma: no cover - ids and arity checked
             raise EngineError(f"native serve kernel failed (status {status})")
-        self._ranges_dirty = True
-        return int(totals[0]), int(totals[1]), int(totals[2])
-
-    def serves_segments(self, depth: int) -> bool:
-        """Whether :meth:`serve_many` runs in the kernel, ``ends`` included."""
-        return (
-            depth == 2
-            and self.k <= _native.MAX_NATIVE_K
-            and _native.available()
-        )
+        self._lists_stale = True
+        return totals[0], totals[1], totals[2]
 
     def serve_many(
         self,
@@ -236,54 +269,30 @@ class NativeTree(FlatTree):
         targets,
         *,
         policy: str = "center",
-        depth: int = 2,
         routing_series=None,
         rotation_series=None,
         ends=None,
     ):
         """Serve a whole request batch in the compiled kernel.
 
-        Same contract as :meth:`FlatTree.serve_many` — scalar cost totals,
-        optional preallocated series buffers — and the same results bit
-        for bit (pinned by ``tests/test_native_engine.py``).  Only the
-        request arrays cross the ctypes boundary; the tree state stays
-        resident in the handle.
+        Returns scalar ``(routing, rotations, links)`` totals, with
+        ``zip`` semantics over the two request sequences, and fills the
+        optional preallocated series buffers (NumPy arrays or lists) per
+        request.  Only the request arrays cross the ctypes boundary; the
+        tree state stays resident in the handle.
 
         ``ends`` splits the batch into consecutive segments (an int64
         array of cumulative segment ends, non-decreasing, the last equal
         to the batch length): the call then returns an ``(len(ends), 3)``
         int64 array of per-segment ``(routing, rotations, links)`` totals,
         exactly what serving each segment by its own call would return.
-        It needs the kernel (:meth:`serves_segments`).  Without ``ends``
-        the batch is one segment.
+        Without ``ends`` the batch is one segment.
         """
-        if policy not in BLOCK_POLICIES:
-            raise RotationError(
-                f"unknown block policy {policy!r}; choose from {BLOCK_POLICIES}"
-            )
+        code = _policy_code(policy)
         if (routing_series is None) != (rotation_series is None):
             raise EngineError(
                 "routing_series and rotation_series must be provided together"
             )
-        if not self.serves_segments(depth):
-            if ends is not None:
-                raise EngineError(
-                    "segmented serving needs the native kernel at depth 2"
-                    f" and k <= {_native.MAX_NATIVE_K}"
-                )
-            # Deep-splay, oversized arities and a kernel that vanished
-            # after construction run the (equivalent) pure-Python
-            # discipline.
-            self._sync_lists()
-            return super().serve_many(
-                sources,
-                targets,
-                policy=policy,
-                depth=depth,
-                routing_series=routing_series,
-                rotation_series=rotation_series,
-            )
-
         src = np.ascontiguousarray(sources, dtype=np.int64)
         dst = np.ascontiguousarray(targets, dtype=np.int64)
         m = min(src.shape[0], dst.shape[0])  # zip() semantics
@@ -292,9 +301,6 @@ class NativeTree(FlatTree):
             if ends is None
             else _segment_ends(ends, m)
         )
-        if self._ensure_resident() is None:  # pragma: no cover - malloc
-            raise EngineError("native tree handle allocation failed")
-
         totals = np.zeros((len(seg_ends), 3), dtype=np.int64)
         record = routing_series is not None
         if record:
@@ -311,7 +317,7 @@ class NativeTree(FlatTree):
             dst.ctypes.data,
             seg_ends.ctypes.data,
             len(seg_ends),
-            _POLICY_CODES[policy],
+            code,
             routing_ptr,
             rotation_ptr,
             totals.ctypes.data,
@@ -319,15 +325,15 @@ class NativeTree(FlatTree):
         if status == 2:
             # The kernel checks every pair before serving any: only
             # non-self pairs index the tree, so a degenerate out-of-range
-            # self-pair serves at cost 0 here exactly as the Python
-            # engines serve it.
+            # self-pair serves at cost 0 here exactly as the object
+            # engine serves it.
             raise EngineError(
                 f"request identifiers must be in 1..{self.n} for the"
                 " native kernel"
             )
         if status != 0:  # pragma: no cover - arity and ends checked above
             raise EngineError(f"native serve kernel failed (status {status})")
-        self._ranges_dirty = True
+        self._lists_stale = True
 
         if record:
             routing_series[:m] = (
@@ -344,66 +350,5 @@ class NativeTree(FlatTree):
             return totals
         return int(totals[0, 0]), int(totals[0, 1]), int(totals[0, 2])
 
-    # ------------------------------------------------------------------
-    # list-state consumers: sync the resident handle out first
-    # ------------------------------------------------------------------
-    def to_tree(self, *, validate: bool = False):
-        self._sync_lists()
-        return super().to_tree(validate=validate)
-
-    def signature(self):
-        self._sync_lists()
-        return super().signature()
-
-    def refresh_ranges(self) -> None:
-        self._sync_lists()
-        super().refresh_ranges()
-
-    def depth(self, nid: int) -> int:
-        self._sync_lists()
-        return super().depth(nid)
-
-    def lca(self, u: int, v: int) -> tuple[int, int, int]:
-        self._sync_lists()
-        return super().lca(u, v)
-
-    def semi_splay(self, y: int, policy: str = "center") -> int:
-        self._sync_lists()
-        return super().semi_splay(y, policy)
-
-    def splay(self, z: int, policy: str = "center") -> int:
-        self._sync_lists()
-        return super().splay(z, policy)
-
-    def semi_splay_fast(self, y: int, policy: str = "center") -> int:
-        self._sync_lists()
-        return super().semi_splay_fast(y, policy)
-
-    def splay_fast(self, z: int, policy: str = "center") -> int:
-        self._sync_lists()
-        return super().splay_fast(z, policy)
-
-    def generalized_splay(self, chain: list[int]) -> int:
-        self._sync_lists()
-        return super().generalized_splay(chain)
-
-    def splay_until(
-        self,
-        node: int,
-        stop: int,
-        *,
-        policy: str = "center",
-        depth: int = 2,
-    ) -> tuple[int, int]:
-        self._sync_lists()
-        return super().splay_until(node, stop, policy=policy, depth=depth)
-
-    def validate(self) -> None:
-        self._sync_lists()
-        super().validate()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"NativeTree(n={self.n}, k={self.k}, root={self.root},"
-            f" resident={self._resident})"
-        )
+        return f"NativeTree(n={self.n}, k={self.k}, root={self.root})"

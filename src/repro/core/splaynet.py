@@ -13,10 +13,10 @@ separately (see :class:`repro.network.protocols.ServeResult`).
 
 Two interchangeable backends drive the hot loop (see
 :mod:`repro.core.engine`): ``engine="object"`` serves on the pointer-linked
-:class:`~repro.core.node.KAryNode` graph, ``engine="flat"`` on the
-structure-of-arrays :class:`~repro.core.flat.FlatTree`.  Both produce
-identical topologies and cost totals; the flat engine is several times
-faster on long traces.
+:class:`~repro.core.node.KAryNode` graph, ``engine="native"`` on a
+:class:`~repro.core.native.NativeTree` resident in the C kernel.  Both
+produce identical topologies and cost totals; the kernel is one to two
+orders of magnitude faster on long traces.
 """
 
 from __future__ import annotations
@@ -30,14 +30,9 @@ from repro.core.builders import (
     build_complete_tree,
     build_random_tree,
 )
-from repro.core.engine import (
-    as_request_arrays,
-    as_request_lists,
-    batch_serve,
-    engine_tree_class,
-    resolve_engine,
-)
+from repro.core.engine import as_request_arrays, batch_serve, resolve_engine
 from repro.core.flat import FlatTree
+from repro.core.native import NativeTree
 from repro.core.rotations import BLOCK_POLICIES, splay_step
 from repro.core.splay import splay_until
 from repro.core.tree import KAryTreeNetwork
@@ -73,14 +68,15 @@ class KArySplayNet:
     splay_depth:
         Levels climbed per transformation: 2 = the paper's k-splay
         discipline (default); >2 uses the generalized d-node rotation
-        (Section 4.1's closing remark; see the deep-splay ablation bench).
+        (Section 4.1's closing remark; see the deep-splay ablation bench),
+        which runs on the object engine.
     seed:
         Seed for the ``"random"`` initial topology.
     engine:
-        Tree-engine backend, ``"object"``, ``"flat"`` or ``"native"``
-        (``None`` = the process default, see :mod:`repro.core.engine`).
-        ``"native"`` resolves to ``"flat"`` with a one-time warning when
-        the compiled kernel is unavailable.
+        Tree-engine backend, ``"object"`` or ``"native"`` (``None`` = the
+        process default, see :mod:`repro.core.engine`).  ``"native"``
+        resolves to ``"object"`` for a deep splay, and without the
+        compiled kernel (with a one-time warning).
     """
 
     def __init__(
@@ -102,7 +98,7 @@ class KArySplayNet:
             raise RotationError(f"splay_depth must be >= 2, got {splay_depth}")
         self.policy = policy
         self.splay_depth = splay_depth
-        self.engine = resolve_engine(engine)
+        self.engine = resolve_engine(engine, splay_depth=splay_depth)
         if isinstance(initial, KAryTreeNetwork):
             if n is not None and n != initial.n:
                 raise InvalidTreeError(
@@ -133,12 +129,10 @@ class KArySplayNet:
                 raise InvalidTreeError(f"unknown initial topology {initial!r}")
         self._k = tree.k
         if self.engine == "object":
-            self._flat: Optional[FlatTree] = None
+            self._flat: Optional[NativeTree] = None
             self._tree: Optional[KAryTreeNetwork] = tree
         else:
-            # "flat" or "native": both are FlatTree layouts; the native
-            # subclass swaps the batched serve loop for the C kernel.
-            self._flat = engine_tree_class(self.engine).from_tree(tree)
+            self._flat = NativeTree.from_tree(tree)
             self._tree = None
 
     # ------------------------------------------------------------------
@@ -156,26 +150,24 @@ class KArySplayNet:
     def tree(self) -> KAryTreeNetwork:
         """The current topology as an object tree.
 
-        For the object engine this is the live tree; for the flat engine it
-        is a fresh :class:`KAryTreeNetwork` snapshot materialized from the
-        arrays (mutating it does not affect the network).
+        For the object engine this is the live tree; for the native engine
+        it is a fresh :class:`KAryTreeNetwork` snapshot materialized from
+        the kernel's arrays (mutating it does not affect the network).
         """
         if self._flat is not None:
             return self._flat.to_tree()
         return self._tree
 
     @property
-    def flat(self) -> Optional[FlatTree]:
-        """The live :class:`FlatTree` backend (``None`` on the object engine)."""
+    def flat(self) -> Optional[NativeTree]:
+        """The live :class:`NativeTree` backend (``None`` on the object engine)."""
         return self._flat
 
     @property
     def serves_segments(self) -> bool:
         """Whether :meth:`serve_trace` takes segment ``ends``: the native
         kernel serves every segment of a batch in one call."""
-        return self._flat is not None and self._flat.serves_segments(
-            self.splay_depth
-        )
+        return self._flat is not None
 
     def distance(self, u: int, v: int) -> int:
         if self._flat is not None:
@@ -197,7 +189,7 @@ class KArySplayNet:
         bare tuples without per-request object construction.
         """
         if self._flat is not None:
-            return self._flat.serve_one(u, v, self.policy, self.splay_depth)
+            return self._flat.serve_one(u, v, self.policy)
         if u == v:
             return 0, 0, 0
         tree = self._tree
@@ -267,12 +259,7 @@ class KArySplayNet:
             return batch_serve(
                 self._serve_totals, sources, targets, record_series=record_series
             )
-        if self._flat.prefers_request_arrays and self.splay_depth == 2:
-            # The native kernel consumes int64 arrays directly — going
-            # through Python lists would box and re-unbox every request.
-            src, dst = as_request_arrays(sources, targets)
-        else:
-            src, dst = as_request_lists(sources, targets)
+        src, dst = as_request_arrays(sources, targets)
         m = len(src)
         routing_series = rotation_series = None
         if record_series:
@@ -280,7 +267,6 @@ class KArySplayNet:
             rotation_series = np.empty(m, dtype=np.int64)
         serve = dict(
             policy=self.policy,
-            depth=self.splay_depth,
             routing_series=routing_series,
             rotation_series=rotation_series,
         )
@@ -310,6 +296,8 @@ class KArySplayNet:
         ``O(m + Σ_x n_x log(m / n_x))`` — checked empirically by
         ``bench_theorem12_static_optimality``.
         """
+        if self._flat is not None:
+            return ServeResult(*self._flat.splay_until(x, 0, policy=self.policy))
         routing_cost = self.depth(x)
         rotations, links = self.splay_to_root(x)
         return ServeResult(routing_cost, rotations, links)
@@ -317,9 +305,10 @@ class KArySplayNet:
     def splay_to_root(self, x: int) -> tuple[int, int]:
         """Splay ``x`` all the way to the root; returns ``(rotations, links)``."""
         if self._flat is not None:
-            return self._flat.splay_until(
-                x, 0, policy=self.policy, depth=self.splay_depth
+            _, rotations, links = self._flat.splay_until(
+                x, 0, policy=self.policy
             )
+            return rotations, links
         tree = self._tree
         return splay_until(
             tree, tree.node(x), None, policy=self.policy, depth=self.splay_depth
@@ -337,25 +326,19 @@ class KArySplayNet:
         if u == v:
             return ServeResult(0, 0, 0)
         flat = self._flat
+        rotations = 0
+        links = 0
         if flat is not None:
             _, du, dv = flat.lca(u, v)
-            rotations = 0
-            links = 0
-            parent = flat.parent
             for endpoint in (u, v):
-                p = parent[endpoint]
-                if not p:
-                    continue
-                if parent[p]:
-                    links += flat.splay(endpoint, self.policy)
-                else:
-                    links += flat.semi_splay(endpoint, self.policy)
-                rotations += 1
+                _, r, l = flat.splay_until(
+                    endpoint, 0, policy=self.policy, max_rotations=1
+                )
+                rotations += r
+                links += l
             return ServeResult(du + dv, rotations, links)
         tree = self._tree
         _, du, dv = tree.lca(u, v)
-        rotations = 0
-        links = 0
         for endpoint in (u, v):
             node = tree.node(endpoint)
             if node.parent is None:
@@ -371,13 +354,14 @@ class KArySplayNet:
     def snapshot_state(self):
         """An opaque, immutable checkpoint of the current topology.
 
-        The state is engine-native (a :class:`FlatTree` copy or an object
-        tree clone) but :meth:`restore_state` accepts either, so a
-        checkpoint taken on one engine restores on the other — both
-        engines represent the identical topology.
+        The state is a plain :class:`FlatTree` value on the native engine
+        and an object tree clone on the object engine, but
+        :meth:`restore_state` accepts either, so a checkpoint taken on one
+        engine restores on the other — both engines represent the
+        identical topology.
         """
         if self._flat is not None:
-            return self._flat.copy()
+            return FlatTree.from_flat(self._flat)
         return self._tree.clone()
 
     def restore_state(self, state) -> None:
@@ -386,27 +370,22 @@ class KArySplayNet:
             raise InvalidTreeError(
                 f"cannot restore a KArySplayNet from {type(state).__name__}"
             )
-        tree_state = state
-        if tree_state.n != self.n or tree_state.k != self._k:
+        if state.n != self.n or state.k != self._k:
             raise InvalidTreeError(
-                f"snapshot shape (n={tree_state.n}, k={tree_state.k}) does not"
+                f"snapshot shape (n={state.n}, k={state.k}) does not"
                 f" match network (n={self.n}, k={self._k})"
             )
         if self._flat is not None:
-            # Adopt the snapshot into this engine's own tree class:
-            # flat/native checkpoints transfer freely in either direction
-            # (both carry the same list-backed state layout).
-            cls = type(self._flat)
             self._flat = (
-                cls.from_flat(tree_state)
-                if isinstance(tree_state, FlatTree)
-                else cls.from_tree(tree_state)
+                NativeTree.from_flat(state)
+                if isinstance(state, FlatTree)
+                else NativeTree.from_tree(state)
             )
         else:
             self._tree = (
-                tree_state.clone()
-                if isinstance(tree_state, KAryTreeNetwork)
-                else tree_state.to_tree()
+                state.clone()
+                if isinstance(state, KAryTreeNetwork)
+                else state.to_tree()
             )
 
     def validate(self) -> None:

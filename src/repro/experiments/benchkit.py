@@ -17,7 +17,7 @@ record; this module is what they have in common:
   best CPU time are kept per subject.  Setup (network construction) runs
   outside the timed region;
 * :func:`require_engines` — the "native requested but the kernel is
-  unavailable" refusal, so no harness records the silent flat fallback
+  unavailable" refusal, so no harness records the silent object fallback
   under the native label;
 * :func:`all_equal` — the exact cross-check behind every ``*_match``
   field.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
 
-from repro.core.engine import ENGINES, native_available
+from repro.core.engine import check_engine_name, native_available
 from repro.errors import ExperimentError
 
 __all__ = [
@@ -188,15 +188,12 @@ def best_of_interleaved(
 def require_engines(engines: Iterable[str], remedy: str) -> None:
     """Reject unknown engine names, and ``native`` without the kernel.
 
-    Measuring the silent flat fallback under the ``native`` label would
-    record a lie, so the request fails with ``remedy`` appended.
+    Measuring the object fallback under the ``native`` label would record
+    a lie, so the request fails with ``remedy`` appended.
     """
     engines = tuple(engines)
     for engine in engines:
-        if engine not in ENGINES:
-            raise ExperimentError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
-            )
+        check_engine_name(engine, ExperimentError)
     if "native" in engines and not native_available():
         from repro.core import _native
 

@@ -1,4 +1,4 @@
-"""Serve-loop throughput benchmark: object vs. flat vs. native engine.
+"""Serve-loop throughput benchmark: object vs. native engine.
 
 The paper's experiments are traces of 10^5–10^6 ``serve(u, v)`` calls, so
 end-to-end reproduction time is dominated by the serve hot loop.  This
@@ -45,14 +45,14 @@ _HOTPATH_ALGORITHMS = {
 }
 
 #: Engine pairs reported as ``speedup_<fast>_over_<slow>`` when both ran.
-SPEEDUP_PAIRS = (("flat", "object"), ("native", "object"), ("native", "flat"))
+SPEEDUP_PAIRS = (("native", "object"),)
 
 
 def default_hotpath_engines() -> tuple[str, ...]:
     """Every engine measurable in this process.
 
     ``"native"`` is included only when the compiled kernel is available —
-    benchmarking its silent flat fallback would record a lie.
+    benchmarking its object fallback under that label would record a lie.
     """
     return tuple(
         engine
@@ -93,7 +93,7 @@ def hotpath_benchmark(
     carry over, so every measurement restarts from the initial topology).
     ``engines`` defaults to :func:`default_hotpath_engines`; requesting
     ``"native"`` explicitly on a machine without the kernel is an error
-    rather than a silently mislabeled flat measurement.  Returns a
+    rather than a silently mislabeled object measurement.  Returns a
     JSON-serializable dict with per-engine throughput (wall and CPU),
     pairwise speedups, and an exact cross-engine totals check.
     """

@@ -1,4 +1,4 @@
-"""End-to-end reproduction-pipeline benchmark: object vs. flat engine.
+"""End-to-end reproduction-pipeline benchmark: object vs. native engine.
 
 Where :mod:`repro.experiments.hotpath` isolates the serve loop, this module
 times the *whole* ``run_all`` reproduction pipeline — trace generation,
@@ -67,7 +67,7 @@ def reproduce_pipeline_benchmark(
     their dominant costs (the n=1024 optimal-BST DP, analytic cells) are
     engine-independent and would only dilute the engine signal.  Returns a
     JSON-serializable record with per-engine CPU/wall seconds, the
-    flat-over-object speedup and the cross-engine summary check.
+    native-over-object speedup and the cross-engine summary check.
     """
     if engines is None:
         engines = default_hotpath_engines()

@@ -131,7 +131,7 @@ def run_all(
     table cells out across worker processes with results identical to the
     serial path, and ``engine`` selects the tree-engine backend for the
     self-adjusting cells (``None`` = the best available engine: native
-    where the kernel builds, flat otherwise; ``"object"`` = the reference
+    where the kernel builds, object otherwise; ``"object"`` = the reference
     backend — totals are identical either way, see ``tests/scenarios/``).
     ``cache``/``refresh`` select the per-cell result cache
     (:mod:`repro.scenarios.cache`): with a warm cache a re-run recomputes

@@ -6,7 +6,7 @@ Two measurements, emitted as one machine-readable record
 
 * **Scalar modes** — single ``serve(u, v)`` calls on one network, per
   serving mode: ``resident`` (native kernel owning the tree state across
-  calls) and ``flat`` (the pure-Python array engine).  Modes are timed
+  calls) and ``object`` (the pure-Python reference engine).  Modes are timed
   by :func:`~repro.experiments.benchkit.best_of_interleaved` (interleaved
   repeats, best CPU and wall kept), the speedup is CPU-based, and cost
   totals are cross-checked exactly.
@@ -46,20 +46,20 @@ __all__ = [
 ]
 
 #: Scalar serving modes, fastest first, and the engine each one runs.
-SCALAR_MODES = ("resident", "flat")
-_MODE_ENGINES = {"resident": "native", "flat": "flat"}
+SCALAR_MODES = ("resident", "object")
+_MODE_ENGINES = {"resident": "native", "object": "object"}
 
 
 def default_scalar_modes() -> tuple[str, ...]:
     """Every scalar mode measurable in this process.
 
     The resident mode needs the compiled kernel; without it only the
-    flat engine is measured (benchmarking the silent fallback as
-    "native" would record a lie).
+    object engine is measured (benchmarking the fallback as "native"
+    would record a lie).
     """
     if native_available():
         return SCALAR_MODES
-    return ("flat",)
+    return ("object",)
 
 
 def _scalar_run(mode: str, n: int, k: int, policy: str, sources, targets):
@@ -108,7 +108,7 @@ def servefarm_benchmark(
     latency, exact totals cross-check).  ``scalar_modes`` defaults to
     :func:`default_scalar_modes`; requesting a native mode on a machine
     without the kernel is an error rather than a silently mislabeled
-    flat measurement.
+    object measurement.
     """
     if repeats < 1:
         raise ExperimentError(f"repeats must be >= 1, got {repeats}")
@@ -124,7 +124,7 @@ def servefarm_benchmark(
             )
     require_engines(
         (_MODE_ENGINES[mode] for mode in scalar_modes),
-        "use scalar_modes=('flat',) or fix the toolchain",
+        "use scalar_modes=('object',) or fix the toolchain",
     )
     shard_counts = tuple(shard_counts)
     if not shard_counts or any(s < 1 for s in shard_counts):
@@ -181,10 +181,10 @@ def servefarm_benchmark(
         match = all_equal(timing.result for timing in timings.values())
         if match is not None:
             result["scalar"]["totals_match"] = match
-        resident, flat = timings.get("resident"), timings.get("flat")
-        if resident and flat and resident.cpu > 0:
-            result["scalar"]["speedup_resident_over_flat"] = (
-                flat.cpu / resident.cpu
+        resident, reference = timings.get("resident"), timings.get("object")
+        if resident and reference and resident.cpu > 0:
+            result["scalar"]["speedup_resident_over_object"] = (
+                reference.cpu / resident.cpu
             )
 
     # -- farm scaling (best wall per shard count) -----------------------

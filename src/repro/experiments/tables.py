@@ -8,8 +8,8 @@ Since the scenario refactor these functions are thin adapters: they expand
 their table into a :class:`~repro.scenarios.spec.ScenarioSpec` list via
 :mod:`repro.scenarios.registry` and execute it through the one scenario
 core (:func:`repro.scenarios.core.run_specs`) — serially by default,
-across worker processes with ``jobs``/``config``, on the flat tree engine
-unless ``engine="object"`` is requested.  Result objects are unchanged
+across worker processes with ``jobs``/``config``, on the best available
+tree engine unless ``engine="object"`` is requested.  Result objects are unchanged
 (equality with the historical serial path is pinned by the test suite).
 """
 

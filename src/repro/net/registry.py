@@ -248,7 +248,7 @@ def build_network(
 
         build_network(NetworkSpec("kary-splaynet", n=64, k=4))
         build_network({"algorithm": "lazy", "n": 64, "params": {"alpha": 500}})
-        build_network("kary-splaynet", n=64, k=4, engine="flat")
+        build_network("kary-splaynet", n=64, k=4, engine="native")
         build_network(algorithm="optimal-tree", n=64, k=4, trace=trace)
 
     ``trace``/``demand`` feed the demand-aware static constructions; other

@@ -652,10 +652,10 @@ class Session:
         Three layers, all fatal via
         :class:`~repro.errors.ReliabilityError`:
 
-        * **structural** — the network's own ``validate()`` (for the flat
-          and native engines that is the full cross-check against a
-          rebuilt object tree, cached subtree ranges included);
-        * **buffer consistency** — flat/native array lengths must match
+        * **structural** — the network's own ``validate()`` (for the
+          native engine that is the full cross-check of the kernel's
+          arrays against a rebuilt object tree);
+        * **buffer consistency** — native array lengths must match
           the declared shape (``n``, ``k``), catching truncated or
           mis-sized state smuggled in through a bad checkpoint;
         * **metrics sanity** — totals non-negative and recorded series
@@ -671,7 +671,7 @@ class Session:
         self._audit_metrics()
 
     def _audit_buffers(self) -> None:
-        """Flat/native engines: array shapes must match the topology."""
+        """Native engine: array shapes must match the topology."""
         flat = getattr(self.network, "_flat", None)
         if flat is None or not hasattr(flat, "parent"):
             return
@@ -727,16 +727,22 @@ class Session:
 def _corrupt_state(state: Any) -> Any:
     """Deliberately damage a checkpoint state (``session.snapshot`` fault).
 
-    Tree-engine states (anything carrying a ``parent`` array) get one
-    self-parenting entry — invisible to shallow use, guaranteed fatal to
-    a structural ``validate()``.  States this helper cannot tamper raise
-    :class:`FaultInjected` outright instead of pretending.
+    Flat tree states (anything carrying a ``parent`` array) get one
+    self-parenting entry; object tree states get a root separator moved
+    onto the identifier lattice.  Both are invisible to shallow use and
+    guaranteed fatal to a structural ``validate()``.  States this helper
+    cannot tamper raise :class:`FaultInjected` outright instead of
+    pretending.
     """
+    from repro.core.tree import KAryTreeNetwork
     from repro.errors import FaultInjected
 
     parent = getattr(state, "parent", None)
     if parent is not None and getattr(state, "n", 0) >= 1:
         parent[1] = 1
+        return state
+    if isinstance(state, KAryTreeNetwork):
+        state.root.routing[0] = float(state.root.nid)
         return state
     raise FaultInjected(
         f"injected snapshot corruption: cannot tamper {type(state).__name__}"
@@ -765,7 +771,7 @@ def open_session(
     :meth:`Session.recover` can rewind past a crash (each restore is
     audited — see :meth:`Session.audit`).
 
-    >>> session = open_session("kary-splaynet", n=64, k=4, engine="flat")
+    >>> session = open_session("kary-splaynet", n=64, k=4, engine="object")
     >>> session.serve(3, 60).routing_cost  # doctest: +SKIP
     5
     """

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Union
 
-from repro.core.engine import ENGINES
+from repro.core.engine import check_engine_name
 from repro.errors import ExperimentError
 
 __all__ = ["NetworkSpec", "PolicySpec", "freeze_params"]
@@ -140,11 +140,11 @@ class NetworkSpec:
         Tree arity (``>= 2``; the binary baselines ignore it).
     engine:
         Tree-engine backend for engine-capable algorithms (``"object"`` /
-        ``"flat"`` / ``"native"``; ``None`` = the process default).
-        Ignored by the rest.  ``"native"`` is always a valid spec value —
-        construction degrades to ``"flat"`` (with a one-time warning)
-        when the compiled kernel is unavailable, so specs round-trip
-        between machines with and without a C toolchain.
+        ``"native"``; ``None`` = the process default).  Ignored by the
+        rest.  ``"native"`` is always a valid spec value — construction
+        degrades to ``"object"`` (with a one-time warning) when the
+        compiled kernel is unavailable, so specs round-trip between
+        machines with and without a C toolchain.
     initial:
         Initial topology name for the self-adjusting k-ary networks.
     params:
@@ -174,10 +174,7 @@ class NetworkSpec:
             raise ExperimentError(f"n must be >= 1, got {self.n}")
         if self.k < 2:
             raise ExperimentError(f"k must be >= 2, got {self.k}")
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ExperimentError(
-                f"unknown engine {self.engine!r}; choose from {ENGINES}"
-            )
+        check_engine_name(self.engine, ExperimentError)
         # Validated against the live registry (lazy import: the registry
         # imports this module at load time).
         from repro.net.registry import require_algorithm

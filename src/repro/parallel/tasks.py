@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.engine import ENGINES
+from repro.core.engine import check_engine_name
 from repro.errors import ExperimentError
 from repro.net.registry import build_network, require_algorithm
 from repro.net.spec import NetworkSpec, freeze_params
@@ -220,10 +220,7 @@ class SimulationTask:
         require_algorithm(self.algorithm)
         if self.k < 2:
             raise ExperimentError(f"k must be >= 2, got {self.k}")
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ExperimentError(
-                f"unknown engine {self.engine!r}; choose from {ENGINES}"
-            )
+        check_engine_name(self.engine, ExperimentError)
 
     def network_spec(self) -> NetworkSpec:
         """The construction spec this cell builds its network from."""

@@ -6,7 +6,7 @@ grid as *data*.  :class:`ScenarioSpec` names one cell; the registry expands
 the paper's Tables 1–8 and Remark 10 (plus any user-registered campaign)
 into spec lists; :func:`run_specs` executes any spec list serially or
 across worker processes with per-worker trace memoization and the best
-available tree engine (native where the C kernel builds, flat otherwise)
+available tree engine (native where the C kernel builds, object otherwise)
 as the online default; results stream to ``benchmarks/results/``
 through the :mod:`repro.results` stores, whose JSONL helpers and path
 conventions this package re-exports.

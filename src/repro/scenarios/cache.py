@@ -13,7 +13,7 @@ topology and the algorithm ``params``, plus :data:`RESULT_CACHE_VERSION`.  ``gro
 ``cost_model`` (a reporting convention over the recorded raw totals) are
 deliberately excluded — the same cell reached through different campaigns
 is the same work.  ``engine=None`` keys as the best available engine
-(``"native"`` where the C kernel builds, ``"flat"`` otherwise), the same
+(``"native"`` where the C kernel builds, ``"object"`` otherwise), the same
 key as naming that engine explicitly; ``engine="object"`` caches
 separately so cross-engine checks always exercise both backends.
 

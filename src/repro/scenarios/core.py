@@ -13,7 +13,7 @@ one place instead of three divergent code paths:
   workload once per worker instead of once per cell.
 * **Engine policy** — engine-capable online cells default to the best
   available engine (the native C kernel where it builds, the pure-Python
-  flat engine otherwise); ``engine="object"`` remains one field away for
+  object engine otherwise); ``engine="object"`` remains one field away for
   cross-checks.
 """
 

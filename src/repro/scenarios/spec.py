@@ -34,7 +34,11 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.core.engine import ENGINES, best_available_engine, resolve_engine
+from repro.core.engine import (
+    best_available_engine,
+    check_engine_name,
+    resolve_engine,
+)
 from repro.errors import ExperimentError
 from repro.net.registry import (
     engine_capable_algorithms,
@@ -86,7 +90,7 @@ class ScenarioSpec:
         Tree-engine backend for engine-capable online algorithms.  ``None``
         (default) resolves to
         :func:`~repro.core.engine.best_available_engine` at execution
-        time — ``"native"`` where the C kernel builds, ``"flat"``
+        time — ``"native"`` where the C kernel builds, ``"object"``
         otherwise; pass ``"object"`` explicitly for the reference backend.
     cost_model:
         Reporting convention the cell's totals are meant to be read under
@@ -132,10 +136,7 @@ class ScenarioSpec:
             raise ExperimentError(f"m must be >= 0, got {self.m}")
         if self.k < 2:
             raise ExperimentError(f"k must be >= 2, got {self.k}")
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ExperimentError(
-                f"unknown engine {self.engine!r}; choose from {ENGINES}"
-            )
+        check_engine_name(self.engine, ExperimentError)
         if self.cost_model not in COST_MODELS:
             raise ExperimentError(
                 f"unknown cost model {self.cost_model!r}; choose from {COST_MODELS}"
@@ -159,12 +160,17 @@ class ScenarioSpec:
         """The engine this cell will actually run on.
 
         Engine-capable online cells default to
-        :func:`~repro.core.engine.best_available_engine`, and an explicit
-        ``"native"`` without the kernel reports the ``"flat"`` fallback it
-        runs on; every other kind has no engine.
+        :func:`~repro.core.engine.best_available_engine`; a cell that asks
+        for ``"native"`` without the kernel or with a deep splay reports
+        the ``"object"`` engine it runs on (see
+        :func:`~repro.core.engine.resolve_engine`).  Every other kind has
+        no engine.
         """
         if self.algorithm in engine_capable_algorithms():
-            return resolve_engine(self.engine or best_available_engine())
+            return resolve_engine(
+                self.engine or best_available_engine(),
+                splay_depth=self.params_dict().get("splay_depth", 2),
+            )
         return None
 
     # -- bridges -------------------------------------------------------

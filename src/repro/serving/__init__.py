@@ -4,7 +4,7 @@ The :mod:`repro.net` session API serves one network in one process; this
 package scales it out.  A :class:`ServeFarm` hash-partitions session keys
 across worker processes (:class:`ShardRouter`), each worker owning its
 shard's sessions — resident native trees where the compiled kernel is
-available, the flat engine otherwise — with batched dispatch, aggregate
+available, the object engine otherwise — with batched dispatch, aggregate
 incremental metrics, and journal-replay recovery of killed workers.
 
 Self-healing rides on top (:mod:`repro.serving.health`): workers

@@ -5,7 +5,7 @@ keys are hash-partitioned (:mod:`repro.serving.router`) across worker
 processes, each worker owning one shard's sessions — resident
 :class:`~repro.core.native.NativeTree` handles behind the
 :func:`~repro.net.session.open_session` API (degrading per worker to the
-flat engine when the kernel is unavailable, e.g. ``REPRO_NATIVE=0``).
+object engine when the kernel is unavailable, e.g. ``REPRO_NATIVE=0``).
 The parent dispatches batched request windows to all owning shards before
 collecting any acknowledgement, so shards serve concurrently; aggregate
 metrics (cost totals plus a mergeable latency histogram) accumulate
@@ -324,7 +324,7 @@ def _worker_main(
     for end in inherited:
         end.close()
     # Imports inside the worker: with the spawn start method this module
-    # is re-imported fresh, and the kernel loads (or degrades to flat)
+    # is re-imported fresh, and the kernel loads (or degrades to object)
     # per process.
     from repro.net.session import open_session
     from repro.reliability.faults import fire_fault, kill_process
@@ -522,7 +522,7 @@ class ServeFarm:
         if self.spec.engine is None:
             # Workers own resident native trees unless the spec pins an
             # engine; resolution happens per worker process, so a farm
-            # degrades to the flat engine wherever the kernel is
+            # degrades to the object engine wherever the kernel is
             # unavailable (REPRO_NATIVE=0, no C toolchain).
             self.spec = self.spec.replace(engine="native")
         self._spec_data = self.spec.to_dict()

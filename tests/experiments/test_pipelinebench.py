@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.engine import native_available
 from repro.errors import ExperimentError
 from repro.experiments.benchkit import write_record
 from repro.experiments.pipelinebench import reproduce_pipeline_benchmark
@@ -19,13 +20,16 @@ class TestReproducePipelineBenchmark:
         record = reproduce_pipeline_benchmark("smoke", tables=(6,), repeats=1)
         assert record["benchmark"] == "reproduce_pipeline"
         assert set(record["engines"]) == set(default_hotpath_engines())
-        assert {"object", "flat"} <= set(record["engines"])
+        assert "object" in record["engines"]
         for stats in record["engines"].values():
             assert stats["cpu_seconds"] > 0
             assert stats["wall_seconds"] > 0
-        # The benchmark doubles as a pipeline-scale engine cross-check.
-        assert record["summaries_match"] is True
-        assert record["speedup_flat_over_object"] > 0
+        if native_available():
+            # The benchmark doubles as a pipeline-scale engine cross-check.
+            assert record["summaries_match"] is True
+            assert record["speedup_native_over_object"] > 0
+        else:
+            assert "summaries_match" not in record
 
     def test_bad_repeats_rejected(self):
         with pytest.raises(ExperimentError):
@@ -44,7 +48,7 @@ class TestReproducePipelineBenchmark:
 
     def test_record_writer(self, tmp_path):
         record = reproduce_pipeline_benchmark(
-            "smoke", tables=(7,), repeats=1, engines=("flat",)
+            "smoke", tables=(7,), repeats=1, engines=("object",)
         )
         out = write_record(record, tmp_path / "rec" / "bench.json")
         loaded = json.loads(out.read_text())
@@ -67,5 +71,8 @@ class TestBenchPipelineCli:
         )
         assert rc == 0
         record = json.loads(out_path.read_text())
-        assert record["summaries_match"] is True
-        assert "speedup_flat_over_object" in record
+        if native_available():
+            assert record["summaries_match"] is True
+            assert "speedup_native_over_object" in record
+        else:
+            assert "summaries_match" not in record

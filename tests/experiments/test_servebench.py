@@ -50,14 +50,14 @@ class TestServefarmBenchmark:
         assert "scaling_2_over_1" in result["farm"]
         if native_available():
             assert result["scalar"]["totals_match"] is True
-            assert result["scalar"]["speedup_resident_over_flat"] > 0
+            assert result["scalar"]["speedup_resident_over_object"] > 0
 
     def test_parts_can_be_skipped(self):
         scalar_only = servefarm_benchmark(
-            n=16, k=2, scalar_m=40, farm_m=0, scalar_modes=("flat",)
+            n=16, k=2, scalar_m=40, farm_m=0, scalar_modes=("object",)
         )
         assert scalar_only["farm"]["shards"] == {}
-        assert set(scalar_only["scalar"]["modes"]) == {"flat"}
+        assert set(scalar_only["scalar"]["modes"]) == {"object"}
         assert "totals_match" not in scalar_only["scalar"]
         farm_only = servefarm_benchmark(
             n=16, k=2, scalar_m=0, farm_m=120, shard_counts=(1,), keys=2
@@ -86,7 +86,7 @@ class TestServefarmBenchmark:
                 "--farm-requests", "80",
                 "--shards", "1",
                 "--keys", "2",
-                "--modes", "flat",
+                "--modes", "object",
                 "--output", str(out),
             ]
         )

@@ -105,8 +105,8 @@ class TestBuildNetworkInputs:
         assert net.k == 3
 
     def test_name_plus_kwargs(self):
-        net = build_network("kary-splaynet", n=8, k=3, engine="flat")
-        assert net.engine == "flat"
+        net = build_network("kary-splaynet", n=8, k=3, engine="object")
+        assert net.engine == "object"
 
     def test_kwargs_only(self):
         net = build_network(algorithm="splaynet", n=8)

@@ -14,11 +14,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import _native
 from repro.core.builders import build_complete_tree
 from repro.core.engine import native_available
 from repro.core.flat import FlatTree
+from repro.core.keyspace import MAX_K
 from repro.core.native import NativeTree
+from repro.core.splaynet import KArySplayNet
 from repro.errors import EngineError, ExperimentError
 from repro.net import open_session
 
@@ -114,7 +115,7 @@ def _assert_twins(spec, segments, *, checkpoint_every=None, record=False):
 
 class TestSegmentsEqualPerSegmentStreams:
     @pytest.mark.parametrize("engine", ["native", "flat", "object"])
-    @pytest.mark.parametrize("k", [2, 3, _native.MAX_NATIVE_K])
+    @pytest.mark.parametrize("k", [2, 3, MAX_K])
     @settings(max_examples=25, deadline=None)
     @given(segments=segment_lists, record=st.booleans())
     def test_engines_and_arities(self, engine, k, segments, record):
@@ -127,25 +128,6 @@ class TestSegmentsEqualPerSegmentStreams:
     def test_checkpoint_cadence(self, engine, segments, every):
         spec = {"algorithm": "kary-splaynet", "n": N, "k": 3, "engine": engine}
         _assert_twins(spec, segments, checkpoint_every=every)
-
-    @settings(max_examples=15, deadline=None)
-    @given(segments=segment_lists)
-    def test_arity_above_the_kernel_falls_back(self, segments):
-        """Arity past the kernel's scratch takes the per-segment loop.
-
-        No buildable tree has k > MAX_NATIVE_K (the separator keyspace
-        caps arity at the same 40), so the bound is lowered for the test.
-        """
-        spec = {
-            "algorithm": "kary-splaynet",
-            "n": N,
-            "k": 4,
-            "engine": "native",
-        }
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_native, "MAX_NATIVE_K", 3)
-            session = _assert_twins(spec, segments)
-            assert not session.network.serves_segments
 
     @settings(max_examples=15, deadline=None)
     @given(segments=segment_lists)
@@ -307,8 +289,8 @@ class TestKernelSegmentChecks:
         import ctypes
 
         tree, _ = self._resident_tree()
-        before = tree.signature()  # syncs the handle out...
-        handle = tree._ensure_resident()  # ...and this reloads it
+        before = tree.signature()
+        handle = tree._handle
         sources = np.array([1, 2], dtype=np.int64)
         targets = np.array([9, 8], dtype=np.int64)
         ends = np.array([2, 1], dtype=np.int64)
@@ -328,9 +310,8 @@ class TestKernelSegmentChecks:
         assert tree.signature() == before
 
     def test_segments_need_the_kernel(self):
-        tree, _ = self._resident_tree()
+        """A deep splay runs on the object engine: no segmented batches."""
+        net = KArySplayNet(N, 3, engine="native", splay_depth=3)
         with pytest.raises(EngineError, match="segmented"):
-            tree.serve_many(
-                [1], [9], depth=3, ends=np.array([1], dtype=np.int64)
-            )
+            net.serve_trace([1], [9], ends=np.array([1], dtype=np.int64))
 

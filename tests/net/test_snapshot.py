@@ -2,7 +2,7 @@
 
 The session checkpoint contract: ``snapshot()`` then ``restore()``
 reproduces (1) the exact topology, (2) the exact costs of any subsequent
-request sequence, (3) identically on the ``object`` and ``flat`` engines —
+request sequence, (3) identically on the ``object`` and ``native`` engines —
 including mid-stream for the lazy-rebuild network, whose rebuild schedule
 depends on accumulated state beyond the tree.  The randomized sweep is a
 hypothesis property test (skipped, like the DP exactness test, when
@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import ENGINES
-from repro.core.flat import tree_signature
+from repro.core.engine import ENGINE_NAMES, ENGINES
+from repro.core.flat import FlatTree, tree_signature
 from repro.net import build_network, open_session
 from repro.workloads.synthetic import zipf_trace
 
@@ -26,6 +26,13 @@ def _topology_signature(network):
     if flat is not None:
         return flat.signature()
     return tree_signature(network.tree)
+
+
+def _state_signature(state):
+    """The same fingerprint of a checkpoint state (flat or object tree)."""
+    if isinstance(state, FlatTree):
+        return state.signature()
+    return tree_signature(state)
 
 
 def _request_block(n, m, seed):
@@ -44,7 +51,7 @@ def _serve_costs(session, sources, targets):
 
 
 class TestKArySnapshotBothEngines:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     @pytest.mark.parametrize("k", [2, 4])
     def test_restore_reproduces_topology_and_costs(self, engine, k):
         n = 64
@@ -108,12 +115,13 @@ class TestKArySnapshotBothEngines:
         assert session.metrics.requests == 1
 
     def test_snapshot_is_immutable_under_serving(self):
-        session = open_session("kary-splaynet", n=32, k=3, engine="flat")
-        session.serve_stream(*_request_block(32, 100, seed=5))
-        checkpoint = session.snapshot()
-        frozen_signature = checkpoint.state.signature()
-        session.serve_stream(*_request_block(32, 100, seed=6))
-        assert checkpoint.state.signature() == frozen_signature
+        for engine in ENGINES:
+            session = open_session("kary-splaynet", n=32, k=3, engine=engine)
+            session.serve_stream(*_request_block(32, 100, seed=5))
+            checkpoint = session.snapshot()
+            frozen_signature = _state_signature(checkpoint.state)
+            session.serve_stream(*_request_block(32, 100, seed=6))
+            assert _state_signature(checkpoint.state) == frozen_signature
 
 
 def build_restored(n, k, checkpoint):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import ENGINES
+from repro.core.engine import ENGINE_NAMES
 from repro.core.flat import tree_signature
 from repro.net import build_network
 from repro.network.policies import (
@@ -51,7 +51,7 @@ WRAPPERS = [
 
 
 @pytest.mark.parametrize("make_wrapper", WRAPPERS)
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
 def test_batched_equals_per_request(make_wrapper, engine):
     trace = _trace()
     scalar_net = make_wrapper(_inner(engine))

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import best_available_engine
 from repro.errors import ExperimentError, ReliabilityError
 from repro.net import open_session
 from repro.reliability.faults import FaultPlan, FaultSpec, inject_faults
 from repro.workloads.synthetic import uniform_trace
 
 
-def _session(engine: str = "flat", every=None, **kwargs):
+def _session(engine: str = best_available_engine(), every=None, **kwargs):
     return open_session(
         "kary-splaynet",
         n=32,
@@ -106,14 +107,14 @@ class TestRecover:
 
 class TestAudit:
     def test_audit_passes_on_a_healthy_session(self):
-        for engine in ("object", "flat"):
+        for engine in ("object", "native"):
             session = _session(engine)
             session.serve_stream(uniform_trace(32, 30, seed=7))
             session.audit()  # must not raise
 
     def test_audit_detects_a_corrupted_snapshot_on_restore(self):
         """The ``session.snapshot`` corrupt fault must never serve silently."""
-        session = _session("flat", every=5)
+        session = _session(every=5)
         plan = FaultPlan(
             specs=(FaultSpec("session.snapshot", mode="corrupt", at=(1,)),)
         )
@@ -123,7 +124,7 @@ class TestAudit:
             session.restore(snapshot)
 
     def test_corrupted_auto_checkpoint_is_caught_by_recover(self):
-        session = _session("flat", every=5)
+        session = _session(every=5)
         plan = FaultPlan(
             specs=(FaultSpec("session.snapshot", mode="corrupt", at=(1,)),)
         )
@@ -135,21 +136,21 @@ class TestAudit:
     def test_snapshot_error_mode_fails_the_snapshot(self):
         from repro.errors import FaultInjected
 
-        session = _session("flat")
+        session = _session()
         plan = FaultPlan(specs=(FaultSpec("session.snapshot", at=(1,)),))
         with inject_faults(plan):
             with pytest.raises(FaultInjected):
                 session.snapshot()
 
     def test_audit_flags_mismatched_series_length(self):
-        session = _session("flat", record_series=True)
+        session = _session(record_series=True)
         session.serve_stream(uniform_trace(32, 10, seed=9))
         session.metrics.routing_series.append(0)  # tamper
         with pytest.raises(ReliabilityError, match="series length"):
             session.audit()
 
     def test_audit_flags_negative_totals(self):
-        session = _session("flat")
+        session = _session()
         session.serve_stream(uniform_trace(32, 10, seed=10))
         session.metrics.total_routing = -1  # tamper
         with pytest.raises(ReliabilityError, match="negative metrics"):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core.engine import best_available_engine
+from repro.core.engine import best_available_engine, native_available
 from repro.errors import ExperimentError
 from repro.results import JsonlStore
 from repro.scenarios import (
@@ -52,9 +52,14 @@ class TestKeying:
         assert spec_cache_key(spec(engine=None)) == spec_cache_key(
             spec(engine=best_available_engine())
         )
-        assert spec_cache_key(spec(engine="object")) != spec_cache_key(
+        # "flat" builds on the object engine: the same work, one key.
+        assert spec_cache_key(spec(engine="object")) == spec_cache_key(
             spec(engine="flat")
         )
+        if native_available():
+            assert spec_cache_key(spec(engine="object")) != spec_cache_key(
+                spec(engine="native")
+            )
 
     def test_behavioural_fields_split_the_key(self):
         base = spec()

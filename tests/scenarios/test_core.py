@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import best_available_engine
 from repro.core.splaynet import KArySplayNet
 from repro.errors import ExperimentError
 from repro.network.cost import UNIT_ROTATIONS
@@ -76,7 +77,7 @@ class TestRunSpecs:
         ]
 
     def test_flat_and_object_engines_agree(self):
-        flat = run_specs([spec(engine="flat")])[0]
+        flat = run_specs([spec(engine=best_available_engine())])[0]
         obj = run_specs([spec(engine="object")])[0]
         assert flat.total_routing == obj.total_routing
         assert flat.total_rotations == obj.total_rotations

@@ -75,10 +75,10 @@ class TestClassification:
         monkeypatch.setattr(engine_module, "native_available", lambda: False)
         monkeypatch.setattr(engine_module, "_native_fallback_warned", True)
         cell = spec(engine="native")
-        assert cell.resolved_engine() == "flat"
-        assert cell.task().engine == "flat"
-        assert build_network(cell.task().network_spec()).engine == "flat"
-        assert spec().resolved_engine() == "flat"
+        assert cell.resolved_engine() == "object"
+        assert cell.task().engine == "object"
+        assert build_network(cell.task().network_spec()).engine == "object"
+        assert spec().resolved_engine() == "object"
 
     def test_no_engine_for_engine_free_cells(self):
         assert spec(algorithm="splaynet").resolved_engine() is None

@@ -94,8 +94,8 @@ class TestFarmEquivalence:
 class TestFarmEngines:
     def test_workers_use_native_when_available_else_flat(self):
         """The farm defaults to resident native trees; without the kernel
-        (REPRO_NATIVE=0 / no toolchain) every worker degrades to flat."""
-        expected = "native" if native_available() else "flat"
+        (REPRO_NATIVE=0 / no toolchain) every worker degrades to object."""
+        expected = "native" if native_available() else "object"
         with ServeFarm("kary-splaynet", n=16, k=2, shards=2) as farm:
             farm.serve("a", 1, 9)
             farm.serve("b", 2, 10)
@@ -107,11 +107,11 @@ class TestFarmEngines:
 
     def test_explicit_spec_engine_is_respected(self):
         with ServeFarm(
-            "kary-splaynet", n=16, k=2, engine="flat", shards=1
+            "kary-splaynet", n=16, k=2, engine="object", shards=1
         ) as farm:
             farm.serve("a", 1, 9)
             [status] = farm.status()
-            assert set(status["sessions"].values()) == {"flat"}
+            assert set(status["sessions"].values()) == {"object"}
 
 
 class TestFarmApi:

@@ -1,10 +1,13 @@
-"""Engine-equivalence suite: the flat engine must mirror the object engine.
+"""The flat layout, the engine names, and array-engine equivalence.
 
-The flat structure-of-arrays engine (:mod:`repro.core.flat`) reimplements
-the serving discipline with index arithmetic; these tests pin it to the
-object engine decision-for-decision: identical per-request cost totals,
-identical preorder topology signatures after every request, across
-arities, block policies, deep-splay depths and serving interfaces.
+:class:`~repro.core.flat.FlatTree` is the structure-of-arrays layout the
+native kernel serves on; these tests pin its conversions, the engine-name
+contract (``"flat"`` is accepted and builds on ``"object"``), and the
+array-backed engine against the object engine decision-for-decision:
+identical per-request cost totals, identical preorder topology signatures
+after every request, across arities, block policies, deep-splay depths
+and serving interfaces.  The array-backed engine is the best one available
+(``native`` where the kernel builds), so the suite passes in both worlds.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ import pytest
 
 from repro.core.builders import build_balanced_tree, build_random_tree
 from repro.core.centroid_splaynet import CentroidSplayNet
-from repro.core.engine import ENGINES, resolve_engine, set_default_engine
+from repro.core.engine import (
+    ENGINES,
+    best_available_engine,
+    native_available,
+    resolve_engine,
+    set_default_engine,
+)
 from repro.core.flat import FlatTree, tree_signature
 from repro.core.splaynet import KArySplayNet
 from repro.errors import EngineError, InvalidTreeError
@@ -31,8 +40,12 @@ def result_tuple(res):
 def make_pair(n, k, **kwargs):
     return (
         KArySplayNet(n, k, engine="object", **kwargs),
-        KArySplayNet(n, k, engine="flat", **kwargs),
+        KArySplayNet(n, k, engine=best_available_engine(), **kwargs),
     )
+
+
+def signature(net):
+    return tree_signature(net.tree)
 
 
 class TestFlatTreeConversion:
@@ -63,9 +76,10 @@ class TestEngineSelection:
 
     def test_resolve_and_default(self):
         assert resolve_engine(None) in ENGINES
+        assert resolve_engine("flat") == "object"
         set_default_engine("flat")
         try:
-            assert KArySplayNet(8, 2).engine == "flat"
+            assert KArySplayNet(8, 2).engine == "object"
         finally:
             set_default_engine("object")
         assert KArySplayNet(8, 2).engine == "object"
@@ -83,7 +97,7 @@ class TestEngineSelection:
 
     def test_flat_engine_adopts_explicit_tree(self):
         tree = build_balanced_tree(15, 3)
-        net = KArySplayNet(initial=tree, engine="flat")
+        net = KArySplayNet(initial=tree, engine=best_available_engine())
         assert net.n == 15 and net.k == 3
         assert tree_signature(net.tree) == tree_signature(tree)
 
@@ -99,8 +113,8 @@ class TestScalarEquivalence:
             ra, rb = obj.serve(u, v), flat.serve(u, v)
             assert result_tuple(ra) == result_tuple(rb), (k, policy, i)
             if i % 25 == 0:
-                assert tree_signature(obj.tree) == flat.flat.signature()
-        assert tree_signature(obj.tree) == flat.flat.signature()
+                assert tree_signature(obj.tree) == signature(flat)
+        assert tree_signature(obj.tree) == signature(flat)
         flat.validate()
         obj.validate()
 
@@ -113,7 +127,7 @@ class TestScalarEquivalence:
         for i, (u, v) in enumerate(trace.pairs()):
             ra, rb = obj.serve(u, v), flat.serve(u, v)
             assert result_tuple(ra) == result_tuple(rb), (k, depth, i)
-        assert tree_signature(obj.tree) == flat.flat.signature()
+        assert tree_signature(obj.tree) == signature(flat)
         flat.validate()
 
     @pytest.mark.parametrize("k", [2, 4])
@@ -129,7 +143,7 @@ class TestScalarEquivalence:
             assert result_tuple(obj.serve_semi(u, v)) == result_tuple(
                 flat.serve_semi(u, v)
             )
-        assert tree_signature(obj.tree) == flat.flat.signature()
+        assert tree_signature(obj.tree) == signature(flat)
         flat.validate()
 
     def test_distance_and_depth_agree(self, rng):
@@ -146,9 +160,9 @@ class TestScalarEquivalence:
 
 class TestBatchedEquivalence:
     def test_all_engines_batched_equivalence(self):
-        """Every registered engine — object, flat and native (which is
-        flat's silent stand-in when the kernel is unavailable) — produces
-        the identical topology and cost totals on one batched trace."""
+        """Every registered engine — object and native (which is object's
+        stand-in when the kernel is unavailable) — produces the identical
+        topology and cost totals on one batched trace."""
         n, k, m = 40, 4, 400
         trace = zipf_trace(n, m, 1.25, seed=8)
         totals = {}
@@ -221,7 +235,7 @@ class TestCentroidEngineEquivalence:
         n, m = 40, 250
         trace = uniform_trace(n, m, seed=k)
         obj = CentroidSplayNet(n, k, engine="object")
-        flat = CentroidSplayNet(n, k, engine="flat")
+        flat = CentroidSplayNet(n, k, engine=best_available_engine())
         for i, (u, v) in enumerate(trace.pairs()):
             ra, rb = obj.serve(u, v), flat.serve(u, v)
             assert result_tuple(ra) == result_tuple(rb), (k, i)
@@ -232,8 +246,8 @@ class TestCentroidEngineEquivalence:
     def test_centroid_serve_trace_matches_loop(self):
         n, k, m = 36, 2, 300
         trace = zipf_trace(n, m, 1.2, seed=3)
-        loop = CentroidSplayNet(n, k, engine="flat")
-        batched = CentroidSplayNet(n, k, engine="flat")
+        loop = CentroidSplayNet(n, k, engine=best_available_engine())
+        batched = CentroidSplayNet(n, k, engine=best_available_engine())
         totals = [0, 0, 0]
         for u, v in trace.pairs():
             r = loop.serve(u, v)
@@ -286,8 +300,11 @@ class TestStaticAndLazyBatched:
 
 
 class TestReviewRegressions:
+    @pytest.mark.skipif(
+        not native_available(), reason="compiled serve kernel unavailable"
+    )
     def test_serve_many_requires_both_series_buffers(self):
-        flat = KArySplayNet(10, 2, engine="flat").flat
+        flat = KArySplayNet(10, 2, engine="native").flat
         with pytest.raises(EngineError, match="together"):
             flat.serve_many([1, 2], [2, 3], routing_series=np.zeros(2, np.int64))
 
@@ -305,7 +322,7 @@ class TestReviewRegressions:
     def test_potential_audit_works_on_flat_engine(self):
         from repro.analysis.potential import audit_splaynet_accesses
 
-        net = KArySplayNet(20, 3, engine="flat")
+        net = KArySplayNet(20, 3, engine=best_available_engine())
         audits = audit_splaynet_accesses(net, [5, 12, 5, 19])
         assert len(audits) == 4
 
@@ -322,5 +339,5 @@ class TestFlatLongRun:
             bb.total_rotations,
             bb.total_links_changed,
         )
-        assert tree_signature(obj.tree) == flat.flat.signature()
+        assert tree_signature(obj.tree) == signature(flat)
         flat.validate()

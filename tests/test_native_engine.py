@@ -1,12 +1,12 @@
-"""Native-engine suite: the compiled kernel must mirror flat and object.
+"""Native-engine suite: the compiled kernel must mirror the object engine.
 
 Two worlds are covered.  With the kernel available (a C toolchain or a
-cached build), the ``native`` engine is pinned to the other two backends
+cached build), the ``native`` engine is pinned to the object engine
 decision-for-decision: identical per-request cost totals and preorder
 topology signatures across arities, block policies and serving
 interfaces, plus checkpoint transfer in every engine direction.  Without
 it (simulated via ``REPRO_NATIVE=0``), ``engine="native"`` must degrade
-to ``flat`` with a single ``RuntimeWarning`` while specs and sessions
+to ``object`` with a single ``RuntimeWarning`` while specs and sessions
 keep working — the suite passes in both worlds.
 """
 
@@ -20,9 +20,9 @@ import pytest
 from repro.core import _native
 from repro.core import engine as engine_module
 from repro.core.engine import (
+    ENGINE_NAMES,
     ENGINES,
     best_available_engine,
-    engine_tree_class,
     native_available,
     resolve_engine,
 )
@@ -51,7 +51,7 @@ class TestEngineResolution:
 
     def test_best_available_engine(self):
         best = best_available_engine()
-        assert best in ("native", "flat")
+        assert best in ("native", "object")
         assert (best == "native") == native_available()
 
     def test_resolution_matches_availability(self):
@@ -59,13 +59,19 @@ class TestEngineResolution:
         if native_available():
             assert resolved == "native"
         else:
-            assert resolved == "flat"
+            assert resolved == "object"
 
     def test_engine_tree_class_mapping(self):
-        assert engine_tree_class("flat") is FlatTree
-        assert engine_tree_class("native") is NativeTree
+        """Only a native network holds a flat tree, and it is native."""
+        for engine in ("object", "flat"):
+            assert KArySplayNet(8, 2, engine=engine).flat is None
+        native = KArySplayNet(8, 2, engine="native")
+        if native_available():
+            assert type(native.flat) is NativeTree
+        else:
+            assert native.flat is None
         with pytest.raises(EngineError):
-            engine_tree_class("object")
+            resolve_engine("turbo")
 
     def test_spec_accepts_native_and_round_trips(self):
         spec = NetworkSpec("kary-splaynet", n=16, k=3, engine="native")
@@ -93,13 +99,13 @@ class TestNoToolchainFallback:
     def test_native_builds_as_flat_and_warns_once(self, no_native):
         with pytest.warns(RuntimeWarning, match="falling back"):
             net = KArySplayNet(16, 2, engine="native")
-        assert net.engine == "flat"
-        assert type(net.flat) is FlatTree
+        assert net.engine == "object"
+        assert net.flat is None
         # The warning fires once per process, not once per construction.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             again = KArySplayNet(16, 2, engine="native")
-        assert again.engine == "flat"
+        assert again.engine == "object"
 
     def test_spec_round_trip_still_builds(self, no_native):
         spec = NetworkSpec("kary-splaynet", n=12, k=2, engine="native")
@@ -107,16 +113,16 @@ class TestNoToolchainFallback:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             net = build_network(restored)
-        assert net.engine == "flat"
+        assert net.engine == "object"
         assert net.serve(1, 9).routing_cost > 0
 
     def test_best_available_engine_degrades(self, no_native):
-        assert best_available_engine() == "flat"
+        assert best_available_engine() == "object"
 
     def test_hotpath_defaults_drop_native(self, no_native):
         from repro.experiments.hotpath import default_hotpath_engines
 
-        assert default_hotpath_engines() == ("object", "flat")
+        assert default_hotpath_engines() == ("object",)
 
 
 # ----------------------------------------------------------------------
@@ -152,9 +158,9 @@ class TestNativeEquivalence:
     def test_batched_series_equivalence(self, k):
         n, m = 40, 500
         trace = zipf_trace(n, m, 1.3, seed=k)
-        flat = KArySplayNet(n, k, engine="flat")
+        obj = KArySplayNet(n, k, engine="object")
         nat = KArySplayNet(n, k, engine="native")
-        ba = flat.serve_trace(trace, record_series=True)
+        ba = obj.serve_trace(trace, record_series=True)
         bb = nat.serve_trace(trace, record_series=True)
         assert (ba.total_routing, ba.total_rotations, ba.total_links_changed) == (
             bb.total_routing,
@@ -163,13 +169,13 @@ class TestNativeEquivalence:
         )
         assert np.array_equal(ba.routing_series, bb.routing_series)
         assert np.array_equal(ba.rotation_series, bb.rotation_series)
-        assert flat.flat.signature() == nat.flat.signature()
+        assert tree_signature(obj.tree) == nat.flat.signature()
 
     def test_mixed_scalar_and_batched_serving(self):
-        """Scalar serves (Python path) interleaved with batches (kernel)
-        stay on the one true topology."""
+        """Scalar serves (one-request entry) interleaved with batches stay
+        on the one true topology."""
         n, k = 36, 3
-        flat = KArySplayNet(n, k, engine="flat")
+        flat = KArySplayNet(n, k, engine="object")
         nat = KArySplayNet(n, k, engine="native")
         rng = np.random.default_rng(7)
         for round_ in range(6):
@@ -190,16 +196,18 @@ class TestNativeEquivalence:
                 bb.total_rotations,
                 bb.total_links_changed,
             ), round_
-        assert flat.flat.signature() == nat.flat.signature()
+        assert tree_signature(flat.tree) == nat.flat.signature()
         nat.flat.validate()
 
     def test_deep_splay_delegates_to_python(self):
-        """depth > 2 is outside the kernel: the native engine must run the
-        generalized discipline through the inherited Python path."""
+        """depth > 2 is outside the kernel: a network asked for the native
+        engine is built on the object engine, which runs the generalized
+        discipline."""
         n, k, m = 28, 3, 150
         trace = uniform_trace(n, m, seed=17)
         obj = KArySplayNet(n, k, engine="object", splay_depth=3)
         nat = KArySplayNet(n, k, engine="native", splay_depth=3)
+        assert nat.engine == "object" and nat.flat is None
         ba = obj.serve_trace(trace)
         bb = nat.serve_trace(trace)
         assert (ba.total_routing, ba.total_rotations, ba.total_links_changed) == (
@@ -207,14 +215,14 @@ class TestNativeEquivalence:
             bb.total_rotations,
             bb.total_links_changed,
         )
-        assert tree_signature(obj.tree) == nat.flat.signature()
+        assert tree_signature(obj.tree) == tree_signature(nat.tree)
 
     def test_centroid_native_equivalence(self):
         from repro.core.centroid_splaynet import CentroidSplayNet
 
         n, k, m = 40, 2, 300
         trace = zipf_trace(n, m, 1.2, seed=5)
-        flat = CentroidSplayNet(n, k, engine="flat")
+        flat = CentroidSplayNet(n, k, engine="object")
         nat = CentroidSplayNet(n, k, engine="native")
         assert nat.engine == "native"
         ba = flat.serve_trace(trace.sources, trace.targets)
@@ -274,20 +282,21 @@ class TestNativeTreeUnit:
 
     def test_series_list_buffers_supported(self):
         nat = self.make_tree()
-        flat = FlatTree.from_flat(nat)
+        obj = KArySplayNet(initial=nat.to_tree(), engine="object")
         sources = [1, 5, 9, 2, 2]
         targets = [12, 1, 4, 2, 17]
         rs_native, qs_native = [0] * 5, [0] * 5
-        rs_flat, qs_flat = [0] * 5, [0] * 5
         totals_native = nat.serve_many(
             sources, targets, routing_series=rs_native, rotation_series=qs_native
         )
-        totals_flat = flat.serve_many(
-            sources, targets, routing_series=rs_flat, rotation_series=qs_flat
+        reference = obj.serve_trace(sources, targets, record_series=True)
+        assert totals_native == (
+            reference.total_routing,
+            reference.total_rotations,
+            reference.total_links_changed,
         )
-        assert totals_native == totals_flat
-        assert rs_native == rs_flat
-        assert qs_native == qs_flat
+        assert rs_native == reference.routing_series.tolist()
+        assert qs_native == reference.rotation_series.tolist()
 
     def test_series_buffers_must_come_together(self):
         nat = self.make_tree()
@@ -305,12 +314,15 @@ class TestNativeTreeUnit:
         """u == v short-circuits before any array access, so a degenerate
         out-of-range self-pair must serve at cost 0 on both engines."""
         nat = self.make_tree(n=10, k=2)
-        flat = FlatTree.from_flat(nat)
+        obj = KArySplayNet(initial=nat.to_tree(), engine="object")
         sources, targets = [50, 1], [50, 5]
-        assert nat.serve_many(sources, targets) == flat.serve_many(
-            sources, targets
+        reference = obj.serve_trace(sources, targets)
+        assert nat.serve_many(sources, targets) == (
+            reference.total_routing,
+            reference.total_rotations,
+            reference.total_links_changed,
         )
-        assert nat.signature() == flat.signature()
+        assert nat.signature() == tree_signature(obj.tree)
 
     def test_validate_after_kernel_batch(self):
         nat = self.make_tree(n=30, k=4)
@@ -377,7 +389,7 @@ class TestResidentRuntime:
         native_session.serve_stream(first)  # state now lives in the handle
         checkpoint = native_session.snapshot()
         outcomes = {}
-        for engine in ENGINES:
+        for engine in ENGINE_NAMES:
             session = open_session("kary-splaynet", n=n, k=k, engine=engine)
             session.restore(checkpoint)
             batch = session.serve_stream(rest)
@@ -412,4 +424,6 @@ class TestResidentRuntime:
         more = zipf_trace(24, 80, 1.2, seed=9)
         assert nat.serve_many(
             more.sources.tolist(), more.targets.tolist()
-        ) == as_flat.serve_many(more.sources.tolist(), more.targets.tolist())
+        ) == NativeTree.from_flat(as_flat).serve_many(
+            more.sources.tolist(), more.targets.tolist()
+        )
