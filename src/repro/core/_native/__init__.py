@@ -5,7 +5,14 @@ loop and the forward pass of the optimal-tree DP (``repro_dp_forward``,
 used by :mod:`repro.optimal.general`).  It has no dependency on Python.h,
 so it compiles with any C toolchain: this module builds it into a shared
 library with ``cc -O3 -shared -fPIC``, caches the result under a
-content-addressed name, and loads it through :mod:`ctypes`.  Everything is
+content-addressed name, and loads it through :mod:`ctypes`.  The library
+is CPU-independent: on Linux x86-64 with GCC or Clang the DP's inner
+min-plus loop is compiled twice (``target_clones("avx2", "default")``)
+and the loader picks the clone for the running CPU, so one cached
+artifact serves every x86-64 host; elsewhere the plain loop is
+vectorised by ``-O3``.  The forward pass runs on an int32 table when
+its values provably fit and on int64 otherwise, with identical results
+(the range rule and its proof are in ``kernel.c``).  Everything is
 best-effort — any failure (no compiler, read-only filesystem, a kernel
 source that does not compile, ``REPRO_NATIVE=0``) leaves the process in
 the *unavailable* state, recorded in :func:`build_error`: the engine

@@ -44,6 +44,15 @@
  * ``repro.optimal.general._forward_numpy`` (same recurrence, same
  * additions, bit-identical entries), stored ``[t][L][i]`` so that both
  * operands of every inner minimum are contiguous in the segment start i.
+ * Range rule: when every entry of w is >= 0 and n * max(w) < 2^29, every
+ * finite DP value is below 2^29 (it is at most the cost of one tree on
+ * its segment, a sum of L <= n entries of w), so the recurrence runs on
+ * an int32 table with sentinel 2^30 - 1 (all pairwise sums fit) in the
+ * first half of the caller's buffer, then widens it in place; otherwise
+ * it runs on the int64 table.  The recurrence is one macro body
+ * instantiated for both types; on Linux x86-64 its inner min-plus loop
+ * also gets an AVX2 clone picked at load time (see repro_dp_forward for
+ * the proof and for -DRK_NO_CLONES).
  *
  * Built by repro.core._native with ``cc -O3 -shared -fPIC``; no Python.h
  * dependency, so any C toolchain works.
@@ -1103,14 +1112,97 @@ void repro_tree_destroy(void *handle)
 /* Optimal-tree DP forward pass (Theorem 2, Appendix A.1)              */
 /* ------------------------------------------------------------------ */
 
-/* acc[i] = min(acc[i], a[i] + c[i]) for i < m. */
-static void rk_dp_minsum(int64_t *restrict acc, const int64_t *restrict a,
-                         const int64_t *restrict c, int64_t m)
-{
-    for (int64_t i = 0; i < m; i++) {
-        const int64_t v = a[i] + c[i];
-        acc[i] = (v < acc[i]) ? v : acc[i];
+/* The minsum helpers get an AVX2 clone next to the baseline one where
+ * the toolchain can dispatch between them at load time (GNU ifunc on
+ * Linux x86-64); everywhere else, and under -DRK_NO_CLONES (the seam
+ * the tests use to build the baseline path on an AVX2 machine), the
+ * plain loop stands alone and -O3 still vectorises it. */
+#if defined(__linux__) && defined(__x86_64__) &&                           \
+    (defined(__GNUC__) || defined(__clang__)) && !defined(RK_NO_CLONES)
+#define RK_DP_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define RK_DP_CLONES
+#endif
+
+/* Sentinel of the int32 table and the bound on n * max(w) under which
+ * that table is used (see repro_dp_forward). */
+#define RK_DP_INF32 ((int32_t)((1 << 30) - 1))
+#define RK_DP_I32_LIMIT ((int64_t)(1 << 29) - 1)
+
+/* Row (t, len) of a table laid out [t][L][i] with strides layer / row. */
+#define RK_B(t, len) (b + (t) * layer + (len) * row)
+
+/* The recurrence, written once and instantiated for one element type T:
+ *
+ *   rk_dp_minsum_SFX(acc, a, c, m)   acc[i] = min(acc[i], a[i] + c[i]),
+ *                                    i < m;
+ *   rk_dp_fill_SFX(n, k, w, b, inf)  fill the whole table b with
+ *                                    sentinel inf (contract as for
+ *                                    repro_dp_forward).
+ *
+ * For the int64_t instance every sum stays below 2 * inf (the Python
+ * side caps finite costs below 2^60 and passes inf = 2^61); for the
+ * int32_t instance the range rule in repro_dp_forward bounds them. */
+#define RK_DP_DEFINE(T, SFX)                                                \
+    static RK_DP_CLONES void rk_dp_minsum_##SFX(                            \
+        T *restrict acc, const T *restrict a, const T *restrict c,          \
+        int64_t m)                                                          \
+    {                                                                       \
+        for (int64_t i = 0; i < m; i++) {                                   \
+            const T v = (T)(a[i] + c[i]);                                   \
+            acc[i] = (v < acc[i]) ? v : acc[i];                             \
+        }                                                                   \
+    }                                                                       \
+                                                                            \
+    static void rk_dp_fill_##SFX(int64_t n, int64_t k, const int64_t *w,    \
+                                 T *b, T inf)                               \
+    {                                                                       \
+        const int64_t row = n + 2;           /* stride of L */              \
+        const int64_t layer = (n + 1) * row; /* stride of t */              \
+        for (int64_t idx = 0; idx < (k + 1) * layer; idx++)                 \
+            b[idx] = inf;                                                   \
+        for (int64_t t = 1; t <= k; t++)                                    \
+            memset(RK_B(t, 0), 0, (size_t)row * sizeof(T));                 \
+        for (int64_t len = 1; len <= n; len++) {                            \
+            const int64_t m = n - len + 1; /* segment starts 0 .. m-1 */    \
+            /* Single tree: root i + s, dl trees left, k - dl right. */     \
+            T *single = RK_B(1, len);                                       \
+            for (int64_t s = 0; s < len; s++)                               \
+                for (int64_t dl = 1; dl < k; dl++)                          \
+                    rk_dp_minsum_##SFX(single, RK_B(dl, s),                 \
+                                       RK_B(k - dl, len - 1 - s) + s + 1,   \
+                                       m);                                  \
+            for (int64_t i = 0; i < m; i++)                                 \
+                single[i] = (T)(single[i] + w[i * (n + 1) + len]);          \
+            /* Forests: at most t trees, the first of length s. */          \
+            for (int64_t t = 2; t <= k; t++) {                              \
+                T *forest = RK_B(t, len);                                   \
+                memcpy(forest, RK_B(t - 1, len), (size_t)m * sizeof(T));    \
+                for (int64_t s = 1; s < len; s++)                           \
+                    rk_dp_minsum_##SFX(forest, RK_B(1, s),                  \
+                                       RK_B(t - 1, len - s) + s, m);        \
+            }                                                               \
+        }                                                                   \
     }
+
+RK_DP_DEFINE(int32_t, i32)
+RK_DP_DEFINE(int64_t, i64)
+
+#undef RK_DP_DEFINE
+#undef RK_B
+
+/* Whether w (shape (n + 1, n + 1)) satisfies the int32 range rule:
+ * every entry >= 0 and n * max(w) <= RK_DP_I32_LIMIT, tested without
+ * forming the product. */
+static int rk_dp_fits_i32(int64_t n, const int64_t *w)
+{
+    int64_t maxw = 0;
+    for (int64_t idx = 0; idx < (n + 1) * (n + 1); idx++) {
+        if (w[idx] < 0)
+            return 0;
+        maxw = (w[idx] > maxw) ? w[idx] : maxw;
+    }
+    return maxw == 0 || n <= RK_DP_I32_LIMIT / maxw;
 }
 
 /* Fill the DP table b, shape (k + 1, n + 1, n + 2) indexed [t][L][i]:
@@ -1118,40 +1210,52 @@ static void rk_dp_minsum(int64_t *restrict acc, const int64_t *restrict a,
  * 0-based start i with at most t routing-based k-ary trees.  w is the
  * boundary-crossing matrix, shape (n + 1, n + 1) indexed [i][L].  Every
  * entry of b is written: 0 for L = 0 (t >= 1), the DP value for
- * i + L <= n (t >= 1), inf everywhere else.  All values stay below
- * 2 * inf, so the int64 sums cannot wrap.  Returns 0 on success, 1 on
- * invalid arguments (b is then left untouched). */
+ * i + L <= n (t >= 1), inf everywhere else.  Returns 0 on success, 1 on
+ * invalid arguments (b is then left untouched).
+ *
+ * Range rule.  When every entry of w is >= 0 and n * max(w) < 2^29, the
+ * recurrence runs on an int32 table with sentinel INF32 = 2^30 - 1 (half
+ * the bytes, twice the SIMD lanes) and is then widened to the int64
+ * table, bit-identical to running it in int64 with sentinel inf:
+ *
+ *  - A finite entry is at most B[1][L][i]: B[t] starts as a copy of
+ *    B[t - 1] and only ever decreases.
+ *  - B[1][L][i] is at most the cost of one tree on the segment, e.g. the
+ *    path rooted at i (s = 0, dl = 1: B[1][0][i] + B[k-1][L-1][i+1] +
+ *    w[i][L]).  A tree's cost sums w over its L subtrees, so it is at
+ *    most L * max(w) <= n * max(w) < 2^29.
+ *  - Hence every pairwise sum fits in int32: finite + finite < 2^29,
+ *    INF32 + finite < 2^31 - 2^29, INF32 + INF32 = 2^31 - 2.
+ *  - Since w >= 0, a sum with an INF32 operand is >= INF32, so it never
+ *    wins a minimum against the INF32 the accumulator starts from: every
+ *    entry is either finite (then the same value as in int64, all sums
+ *    being exact) or exactly INF32, and widening maps INF32 -> inf.
+ *
+ * The int32 table occupies the first half of the caller's int64 buffer,
+ * so this path allocates nothing and peak memory is unchanged.  Widening
+ * runs from the last entry down: int64 slot idx overwrites int32 slots
+ * 2 idx and 2 idx + 1, which are at or past idx and so already read.
+ * The values move through memcpy, so strict aliasing cannot reorder the
+ * int32 loads after the int64 stores that overwrite them.  Otherwise
+ * (a negative entry, or larger magnitudes) the int64 instance runs on b
+ * directly. */
 int64_t repro_dp_forward(int64_t n, int64_t k, const int64_t *w, int64_t *b,
                          int64_t inf)
 {
     if (n < 0 || k < 2 || !w || !b)
         return 1;
-    const int64_t row = n + 2;              /* stride of L */
-    const int64_t layer = (n + 1) * row;    /* stride of t */
-#define RK_B(t, len) (b + (t) * layer + (len) * row)
-    for (int64_t idx = 0; idx < (k + 1) * layer; idx++)
-        b[idx] = inf;
-    for (int64_t t = 1; t <= k; t++)
-        memset(RK_B(t, 0), 0, (size_t)row * sizeof(int64_t));
-    for (int64_t len = 1; len <= n; len++) {
-        const int64_t m = n - len + 1;      /* segment starts 0 .. m-1 */
-        /* Single tree: root i + s, dl trees on the left, k - dl right. */
-        int64_t *single = RK_B(1, len);
-        for (int64_t s = 0; s < len; s++)
-            for (int64_t dl = 1; dl < k; dl++)
-                rk_dp_minsum(single, RK_B(dl, s),
-                             RK_B(k - dl, len - 1 - s) + s + 1, m);
-        for (int64_t i = 0; i < m; i++)
-            single[i] += w[i * (n + 1) + len];
-        /* Forests: at most t trees, the first of length s. */
-        for (int64_t t = 2; t <= k; t++) {
-            int64_t *forest = RK_B(t, len);
-            memcpy(forest, RK_B(t - 1, len), (size_t)m * sizeof(int64_t));
-            for (int64_t s = 1; s < len; s++)
-                rk_dp_minsum(forest, RK_B(1, s), RK_B(t - 1, len - s) + s,
-                             m);
-        }
+    if (!rk_dp_fits_i32(n, w)) {
+        rk_dp_fill_i64(n, k, w, b, inf);
+        return 0;
     }
-#undef RK_B
+    rk_dp_fill_i32(n, k, w, (int32_t *)(void *)b, RK_DP_INF32);
+    unsigned char *bytes = (unsigned char *)b;
+    for (int64_t idx = (k + 1) * (n + 1) * (n + 2) - 1; idx >= 0; idx--) {
+        int32_t narrow;
+        memcpy(&narrow, bytes + idx * (int64_t)sizeof(int32_t),
+               sizeof narrow);
+        const int64_t wide = (narrow == RK_DP_INF32) ? inf : narrow;
+        memcpy(bytes + idx * (int64_t)sizeof(int64_t), &wide, sizeof wide);
+    }
     return 0;
 }

@@ -11,14 +11,18 @@ Dynamic programming over identifier segments, exactly as in Appendix A.1:
   joins the routing array, ``dl`` child trees on ``[i, r)`` and ``k - dl``
   on ``(r, i+L)`` — the routing-based constraint ``dl + dr <= k``.
 
-The forward pass is exact int64 (a ``2^61`` sentinel plays infinity;
-:mod:`repro.optimal.context` rejects demands whose costs could reach it)
-and has two bit-identical implementations:
+The forward pass returns an exact int64 table (a ``2^61`` sentinel plays
+infinity; :mod:`repro.optimal.context` rejects demands whose costs could
+reach it) and has two bit-identical implementations:
 
 * the native kernel's ``repro_dp_forward`` (:mod:`repro.core._native`),
   used whenever the kernel loads.  It stores the table ``[t, L, i]`` so
   both operands of every inner minimum are contiguous in ``i``; the
-  caller sees a transposed ``[t, i, L]`` view.
+  caller sees a transposed ``[t, i, L]`` view.  When ``W`` is
+  non-negative and ``n * max(W) < 2^29`` (every cell at the smoke and
+  quick scales) the kernel computes in int32, where every finite value
+  is then below ``2^29``, and widens the result to the same int64
+  table; otherwise it computes in int64.
 * :func:`_forward_numpy`, the fallback on machines without a compiler
   (or under ``REPRO_NATIVE=0``) and the in-process oracle.  For each
   length the two inner reductions run over *diagonal* slices of ``B``

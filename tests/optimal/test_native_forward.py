@@ -2,11 +2,17 @@
 
 ``repro_dp_forward`` in the compiled kernel fills the same int64 table
 as :func:`repro.optimal.general._forward_numpy`, every ``t`` layer and
-every sentinel entry included.  Cases that need the kernel are skipped
-where it does not build; the fallback tests run everywhere.
+every sentinel entry included.  The kernel runs the recurrence on an
+int32 table when ``w`` is non-negative and ``n * max(w) < 2^29`` and on
+an int64 table otherwise; the differential cases straddle that rule so
+both paths run.  Cases that need the kernel are skipped where it does
+not build; the fallback tests run everywhere.
 """
 
 from __future__ import annotations
+
+import ctypes
+import subprocess
 
 import numpy as np
 import pytest
@@ -26,6 +32,9 @@ from repro.optimal.general import (
 needs_kernel = pytest.mark.skipif(
     not _native.available(), reason="compiled kernel unavailable"
 )
+
+#: Largest ``n * max(w)`` the kernel still runs on its int32 table.
+I32_LIMIT = (1 << 29) - 1
 
 
 def random_demand(rng, n, hi=6):
@@ -86,6 +95,139 @@ class TestNativeEqualsNumpy:
         length, prefix = ctx.reuse_for(4)
         assert length == 4
         assert np.array_equal(prefix, b[1][:, :5])
+
+
+def native_table(lib, w, k):
+    """The kernel's table for a raw ``w``, as the ``[t, i, L]`` view."""
+    n = w.shape[0] - 1
+    table = np.empty((k + 1, n + 1, n + 2), dtype=np.int64)
+    _native_forward_into(lib, w, table)
+    return table.transpose(0, 2, 1)
+
+
+def numpy_table(w, k):
+    """The NumPy oracle's table for a raw ``w`` (no demand behind it)."""
+    n = w.shape[0] - 1
+    b, _ = _forward_numpy(DemandContext(np.zeros((n, n), np.int64), w), k)
+    return b
+
+
+#: (n, k, w) cases on both sides of the int32 range rule, with the DP
+#: values pushed to the top of the int32 range by constant weights.
+def range_rule_cases():
+    cases = [
+        # n * max(w) = 2^29 - 1 exactly: the largest int32 instance.
+        (1, 3, np.array([[0, I32_LIMIT], [0, 0]], dtype=np.int64)),
+        # 31 * max(w) just below 2^29, every tree at its cost bound.
+        (31, 4, np.full((32, 32), I32_LIMIT // 31, dtype=np.int64)),
+        # n * max(w) = 2^29 exactly: the smallest int64 instance.
+        (32, 3, np.full((33, 33), 1 << 24, dtype=np.int64)),
+        # Far above the rule.
+        (20, 5, np.full((21, 21), 1 << 40, dtype=np.int64)),
+    ]
+    rng = np.random.default_rng(7)
+    w = rng.integers(0, 1000, (26, 26), dtype=np.int64)
+    cases.append((25, 10, w))
+    negative = w.copy()
+    negative[3, 7] = -(1 << 40)  # small max(w), but no int32 instance
+    cases.append((25, 6, negative))
+    return cases
+
+
+RANGE_RULE_IDS = [
+    "at-2^29-1",
+    "top-of-int32",
+    "at-2^29",
+    "far-above",
+    "random",
+    "negative-entry",
+]
+
+
+@needs_kernel
+class TestRangeRule:
+    @pytest.mark.parametrize("n, k, w", range_rule_cases(), ids=RANGE_RULE_IDS)
+    def test_both_paths_match_numpy(self, n, k, w):
+        assert w.shape == (n + 1, n + 1)
+        assert np.array_equal(
+            native_table(_native.load_kernel(), w, k), numpy_table(w, k)
+        )
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a test extra
+    given = None
+
+if given is not None:
+
+    @st.composite
+    def forward_inputs(draw):
+        """Random non-negative ``w`` around the range rule, sometimes
+        with one negative entry; ``k`` in 2..10 or above ``n``."""
+        n = draw(st.integers(min_value=1, max_value=40))
+        if draw(st.booleans()):
+            k = draw(st.integers(min_value=2, max_value=10))
+        else:
+            k = max(2, n + draw(st.integers(min_value=1, max_value=3)))
+        fit = I32_LIMIT // n  # n * fit <= 2^29 - 1 < n * (fit + 1)
+        maxw = draw(st.sampled_from([0, 1, 60, fit, fit + 1, 1 << 40]))
+        size = (n + 1) * (n + 1)
+        if draw(st.booleans()):
+            w = np.full(size, maxw, dtype=np.int64)
+        else:
+            seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+            rng = np.random.default_rng(seed)
+            w = rng.integers(0, maxw, size, dtype=np.int64, endpoint=True)
+            w[draw(st.integers(0, size - 1))] = maxw
+        if draw(st.integers(min_value=0, max_value=7)) == 0:
+            w[draw(st.integers(0, size - 1))] = -draw(
+                st.sampled_from([1, max(1, maxw), 1 << 40])
+            )
+        return k, w.reshape(n + 1, n + 1)
+
+    @needs_kernel
+    @given(forward_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_property_native_equals_numpy_on_every_entry(inputs):
+        k, w = inputs
+        assert np.array_equal(
+            native_table(_native.load_kernel(), w, k), numpy_table(w, k)
+        )
+
+
+def test_portable_build_matches_numpy(tmp_path):
+    """The kernel built with ``-DRK_NO_CLONES`` (no AVX2 clone of the
+    forward pass's inner loop) fills the same tables, on both sides of
+    the range rule."""
+    compiler = _native._find_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler")
+    out = tmp_path / "kernel_portable.so"
+    cmd = [
+        compiler,
+        *_native._CFLAGS,
+        "-DRK_NO_CLONES",
+        "-o",
+        str(out),
+        str(_native.kernel_source_path()),
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lib = _native._configure(ctypes.CDLL(str(out)))
+    for n, k, w in range_rule_cases():
+        assert np.array_equal(native_table(lib, w, k), numpy_table(w, k)), (
+            n,
+            k,
+        )
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 26):
+        ctx = DemandContext.from_demand(random_demand(rng, n, hi=50))
+        for k in (2, 3, 10):
+            assert np.array_equal(
+                native_table(lib, ctx.w, k), numpy_table(ctx.w, k)
+            )
 
 
 @needs_kernel
