@@ -112,46 +112,37 @@ def numpy_table(w, k):
     return b
 
 
-#: (n, k, w) cases on both sides of the int32 range rule, with the DP
-#: values pushed to the top of the int32 range by constant weights.
 def range_rule_cases():
-    cases = [
-        # n * max(w) = 2^29 - 1 exactly: the largest int32 instance.
-        (1, 3, np.array([[0, I32_LIMIT], [0, 0]], dtype=np.int64)),
-        # 31 * max(w) just below 2^29, every tree at its cost bound.
-        (31, 4, np.full((32, 32), I32_LIMIT // 31, dtype=np.int64)),
-        # n * max(w) = 2^29 exactly: the smallest int64 instance.
-        (32, 3, np.full((33, 33), 1 << 24, dtype=np.int64)),
-        # Far above the rule.
-        (20, 5, np.full((21, 21), 1 << 40, dtype=np.int64)),
-    ]
+    """``{id: (k, w)}`` on both sides of the int32 range rule; constant
+    weights push every DP value to its bound ``L * max(w)``."""
     rng = np.random.default_rng(7)
-    w = rng.integers(0, 1000, (26, 26), dtype=np.int64)
-    cases.append((25, 10, w))
-    negative = w.copy()
+    random_w = rng.integers(0, 1000, (26, 26), dtype=np.int64)
+    negative = random_w.copy()
     negative[3, 7] = -(1 << 40)  # small max(w), but no int32 instance
-    cases.append((25, 6, negative))
-    return cases
+    return {
+        # n * max(w) = 2^29 - 1 exactly: the largest int32 instance.
+        "at-2^29-1": (3, np.array([[0, I32_LIMIT], [0, 0]], dtype=np.int64)),
+        # n = 31, n * max(w) just below 2^29.
+        "top-of-int32": (4, np.full((32, 32), I32_LIMIT // 31, np.int64)),
+        # n = 32, n * max(w) = 2^29 exactly: the smallest int64 instance.
+        "at-2^29": (3, np.full((33, 33), 1 << 24, np.int64)),
+        "far-above": (5, np.full((21, 21), 1 << 40, np.int64)),
+        "random": (10, random_w),
+        "negative-entry": (6, negative),
+    }
 
 
-RANGE_RULE_IDS = [
-    "at-2^29-1",
-    "top-of-int32",
-    "at-2^29",
-    "far-above",
-    "random",
-    "negative-entry",
-]
+RANGE_RULE_CASES = range_rule_cases()
 
 
 @needs_kernel
-class TestRangeRule:
-    @pytest.mark.parametrize("n, k, w", range_rule_cases(), ids=RANGE_RULE_IDS)
-    def test_both_paths_match_numpy(self, n, k, w):
-        assert w.shape == (n + 1, n + 1)
-        assert np.array_equal(
-            native_table(_native.load_kernel(), w, k), numpy_table(w, k)
-        )
+@pytest.mark.parametrize(
+    "k, w", list(RANGE_RULE_CASES.values()), ids=list(RANGE_RULE_CASES)
+)
+def test_range_rule_boundaries_match_numpy(k, w):
+    assert np.array_equal(
+        native_table(_native.load_kernel(), w, k), numpy_table(w, k)
+    )
 
 
 try:
@@ -216,11 +207,8 @@ def test_portable_build_matches_numpy(tmp_path):
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lib = _native._configure(ctypes.CDLL(str(out)))
-    for n, k, w in range_rule_cases():
-        assert np.array_equal(native_table(lib, w, k), numpy_table(w, k)), (
-            n,
-            k,
-        )
+    for case, (k, w) in RANGE_RULE_CASES.items():
+        assert np.array_equal(native_table(lib, w, k), numpy_table(w, k)), case
     rng = np.random.default_rng(11)
     for n in (1, 2, 7, 26):
         ctx = DemandContext.from_demand(random_demand(rng, n, hi=50))
