@@ -5,7 +5,7 @@ The package is pure Python plus one optional C source
 (``src/repro/core/_native/kernel.c``) that is *not* compiled at install
 time: :mod:`repro.core._native` builds it on first use with whatever C
 toolchain the host has, and the engine layer falls back to the pure-Python
-flat backend when none exists.  The source must therefore ship as package
+object engine when none exists.  The source must therefore ship as package
 data (see also MANIFEST.in for sdists).
 """
 from setuptools import find_packages, setup

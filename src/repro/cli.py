@@ -16,7 +16,6 @@ Subcommands:
   ``export --to`` converts a campaign's record between backends
 * ``bench-store`` — results-store ingest/lookup throughput, JSONL vs SQLite
 * ``bench-hotpath`` — serve-loop throughput of the object vs. native engine
-* ``bench-pipeline`` — end-to-end ``run_all`` time per engine
 * ``bench-optimal`` — optimal-tree DP subsystem vs. the legacy forward
   pass, plus the result-cache cold/warm trajectory
 * ``bench-servefarm`` — resident native vs. object scalar serving, plus
@@ -46,7 +45,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.core.engine import ENGINE_NAMES, ENGINES
+from repro.core.engine import ENGINES
 from repro.errors import ReproError
 from repro.experiments.servebench import SCALAR_MODES
 from repro.net.registry import build_network
@@ -303,23 +302,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         print(summary.render())
         return 0 if summary.passed else 1
     return 0
-
-
-def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
-    from repro.experiments.pipelinebench import (
-        DEFAULT_TABLES,
-        reproduce_pipeline_benchmark,
-    )
-
-    record = reproduce_pipeline_benchmark(
-        args.scale,
-        tables=tuple(args.tables) if args.tables is not None else DEFAULT_TABLES,
-        include_table8=args.table8,
-        repeats=args.repeats,
-        jobs=args.jobs,
-        verbose=not args.quiet,
-    )
-    return _emit_record(record, args.output)
 
 
 def _cmd_bench_optimal(args: argparse.Namespace) -> int:
@@ -683,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rebuild threshold for the lazy network",
     )
     sim.add_argument(
-        "--engine", choices=ENGINE_NAMES, default=None,
+        "--engine", choices=ENGINES, default=None,
         help="tree-engine backend for the self-adjusting networks",
     )
     sim.add_argument(
@@ -735,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the table cells (0 = all cores)",
     )
     rep.add_argument(
-        "--engine", choices=ENGINE_NAMES, default=None,
+        "--engine", choices=ENGINES, default=None,
         help="tree-engine backend for the self-adjusting cells"
              " (default: native, degrading to object without the kernel;"
              " totals are engine-independent)",
@@ -774,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the cells (0 = all cores)",
     )
     scen_run.add_argument(
-        "--engine", choices=ENGINE_NAMES, default=None,
+        "--engine", choices=ENGINES, default=None,
         help="tree-engine backend for the self-adjusting cells",
     )
     scen_run.add_argument(
@@ -817,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     scen_export.add_argument("name", help="a name from `repro scenarios list`")
     scen_export.add_argument("--scale", default=None, choices=("smoke", "quick", "paper"))
     scen_export.add_argument(
-        "--engine", choices=ENGINE_NAMES, default=None,
+        "--engine", choices=ENGINES, default=None,
         help="pin the tree engine in the exported specs",
     )
     scen_export.add_argument(
@@ -832,32 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scen_export.add_argument("-o", "--output", default=None, help="write here")
     scen_export.set_defaults(func=_cmd_scenarios_export)
-
-    benchp = sub.add_parser(
-        "bench-pipeline",
-        help="end-to-end run_all time per tree engine (JSON output)",
-    )
-    benchp.add_argument("--scale", default="quick", choices=("smoke", "quick", "paper"))
-    benchp.add_argument(
-        "--tables", type=int, nargs="*", default=None,
-        help="table subset (default: the recorded-trajectory subset"
-             " 1,2,4,5,6,7 — see EXPERIMENTS.md)",
-    )
-    benchp.add_argument(
-        "--table8", action="store_true",
-        help="include Table 8 (n=1024 engine-independent DP at quick scale)",
-    )
-    benchp.add_argument(
-        "--repeats", type=int, default=2,
-        help="timing repeats per engine (best CPU time kept)",
-    )
-    benchp.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (keep 1 for clean CPU-time measurement)",
-    )
-    benchp.add_argument("--quiet", action="store_true")
-    benchp.add_argument("--output", default=None, help="also write JSON here")
-    benchp.set_defaults(func=_cmd_bench_pipeline)
 
     bencho = sub.add_parser(
         "bench-optimal",
@@ -938,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("-n", "--nodes", type=int, default=1024)
     serve.add_argument("-k", type=int, default=4, help="tree arity")
     serve.add_argument(
-        "--engine", choices=ENGINE_NAMES, default=None,
+        "--engine", choices=ENGINES, default=None,
         help="tree-engine backend for the workers (default: native,"
              " degrading to object without the kernel)",
     )
@@ -1012,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pins the workload and the fault schedule (the replay handle)",
     )
     chaos.add_argument(
-        "--engine", choices=ENGINE_NAMES, default=None,
+        "--engine", choices=ENGINES, default=None,
         help="tree-engine backend for the target's workers",
     )
     chaos.add_argument(

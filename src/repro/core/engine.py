@@ -26,8 +26,9 @@ which sends three cases to ``"object"``:
 * ``"native"`` without the kernel (``REPRO_NATIVE=0`` or no C toolchain;
   a one-time ``RuntimeWarning`` says so);
 * a deep splay (``splay_depth != 2``), which only the object engine runs;
-* the name ``"flat"``, accepted for the pure-Python array engine that
-  earlier versions shipped.
+* the legacy name ``"flat"`` (the pure-Python array engine that earlier
+  versions shipped), still read from stored specs but not offered by the
+  CLI.
 
 A native tree loads its kernel handle when it is built and keeps the
 library loaded, so a kernel that becomes unavailable later in the
@@ -53,7 +54,6 @@ from repro.errors import EngineError
 
 __all__ = [
     "ENGINES",
-    "ENGINE_NAMES",
     "best_available_engine",
     "check_engine_name",
     "default_engine",
@@ -68,11 +68,11 @@ __all__ = [
 #: The available tree-engine backends.
 ENGINES = ("object", "native")
 
-#: Engine names still accepted that resolve to another engine.
+#: Engine names still accepted that resolve to another engine.  ``"flat"``
+#: has two readers left: the benchmark's ``prefix_matches_flat`` oracle
+#: (``perfbench/bench_serve.py``), and network/scenario specs and result
+#: cache keys written while the pure-Python array engine existed.
 _ALIASES = {"flat": "object"}
-
-#: Every name an ``engine=`` argument accepts.
-ENGINE_NAMES = ENGINES + tuple(_ALIASES)
 
 _default_engine = os.environ.get("REPRO_ENGINE", "object")
 
@@ -85,7 +85,7 @@ def check_engine_name(name: Optional[str], error=EngineError) -> None:
     The one check behind every ``engine=`` field (network, task, scenario
     and benchmark specs), so an accepted name is accepted everywhere.
     """
-    if name is not None and name not in ENGINE_NAMES:
+    if name is not None and name not in ENGINES and name not in _ALIASES:
         raise error(f"unknown engine {name!r}; choose from {ENGINES}")
 
 

@@ -3,8 +3,9 @@
 Every ``repro bench-*`` command (and ``repro chaos``) produces one JSON
 record; this module is what they have in common:
 
-* :func:`provenance` — where and when a record was measured (git sha,
-  UTC date, interpreter, machine, CPU count), stamped as one
+* :func:`provenance` — where and when a record was measured (git sha
+  and whether the checkout was dirty, UTC date, interpreter, machine,
+  CPU count), stamped as one
   ``provenance`` block on every record :func:`write_record` writes or
   the CLI prints;
 * :func:`keyed_stream` — the deterministic keyed traffic the serving
@@ -52,26 +53,37 @@ __all__ = [
 ]
 
 
-def _git_sha() -> Optional[str]:
-    """HEAD of the checkout this package runs from (None outside one)."""
+#: Where ``git`` runs to find the checkout this package runs from.
+_PACKAGE_DIR = Path(__file__).resolve().parent
+
+
+def _git(*args: str) -> Optional[str]:
+    """Stdout of ``git args`` in the package's checkout (None outside one)."""
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
+            ["git", *args],
+            cwd=_PACKAGE_DIR,
             capture_output=True,
             text=True,
             timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = proc.stdout.strip()
-    return sha if proc.returncode == 0 and sha else None
+    return proc.stdout if proc.returncode == 0 else None
 
 
 def provenance() -> dict[str, Any]:
-    """Where and when a record was measured."""
+    """Where and when a record was measured.
+
+    ``git_sha`` is the checkout's HEAD and ``dirty`` says whether tracked
+    files differ from it, so a record measured on uncommitted code does
+    not pass for its parent's; both are ``None`` outside a checkout.
+    """
+    sha = (_git("rev-parse", "HEAD") or "").strip() or None
+    status = _git("status", "--porcelain", "--untracked-files=no")
     return {
-        "git_sha": _git_sha(),
+        "git_sha": sha,
+        "dirty": None if sha is None or status is None else bool(status.strip()),
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),

@@ -34,7 +34,6 @@ from repro.net.registry import build_network
 from repro.workloads.synthetic import zipf_trace
 
 __all__ = [
-    "SPEEDUP_PAIRS",
     "default_hotpath_engines",
     "hotpath_benchmark",
 ]
@@ -43,10 +42,6 @@ _HOTPATH_ALGORITHMS = {
     "ksplaynet": "kary-splaynet",
     "centroid-splaynet": "centroid-splaynet",
 }
-
-#: Engine pairs reported as ``speedup_<fast>_over_<slow>`` when both ran.
-SPEEDUP_PAIRS = (("native", "object"),)
-
 
 def default_hotpath_engines() -> tuple[str, ...]:
     """Every engine measurable in this process.
@@ -95,7 +90,7 @@ def hotpath_benchmark(
     ``"native"`` explicitly on a machine without the kernel is an error
     rather than a silently mislabeled object measurement.  Returns a
     JSON-serializable dict with per-engine throughput (wall and CPU),
-    pairwise speedups, and an exact cross-engine totals check.
+    the native-over-object speedup, and an exact cross-engine totals check.
     """
     if engines is None:
         engines = default_hotpath_engines()
@@ -144,11 +139,9 @@ def hotpath_benchmark(
     match = all_equal(batch_totals(timing.result) for timing in best.values())
     if match is not None:
         result["totals_match"] = match
-    for fast, slow in SPEEDUP_PAIRS:
-        if fast in best and slow in best and best[fast].cpu > 0:
-            result[f"speedup_{fast}_over_{slow}"] = best[slow].cpu / best[fast].cpu
-            result[f"speedup_{fast}_over_{slow}_wall"] = (
-                best[slow].wall / best[fast].wall
-            )
+    if "native" in best and "object" in best and best["native"].cpu > 0:
+        native, obj = best["native"], best["object"]
+        result["speedup_native_over_object"] = obj.cpu / native.cpu
+        result["speedup_native_over_object_wall"] = obj.wall / native.wall
     return result
 

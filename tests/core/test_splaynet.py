@@ -29,9 +29,8 @@ class TestConstruction:
         # property: the array-backed engines snapshot the tree instead.
         net = KArySplayNet(initial=tree, engine="object")
         assert net.tree is tree
-        for engine in ("flat", "native"):
-            adopted = KArySplayNet(initial=tree, engine=engine)
-            assert tree_signature(adopted.tree) == tree_signature(tree)
+        adopted = KArySplayNet(initial=tree, engine="native")
+        assert tree_signature(adopted.tree) == tree_signature(tree)
 
     def test_n_conflict_rejected(self):
         tree = build_balanced_tree(20, 3)

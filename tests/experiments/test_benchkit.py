@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import subprocess
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +21,7 @@ from repro.experiments.benchkit import (
 )
 from repro.workloads.synthetic import zipf_trace
 
-PROVENANCE_KEYS = {"git_sha", "date", "python", "machine", "cpu_count"}
+PROVENANCE_KEYS = {"git_sha", "dirty", "date", "python", "machine", "cpu_count"}
 
 #: Every record command at toy scale (each run takes about a second).
 RECORD_COMMANDS = {
@@ -34,9 +35,6 @@ RECORD_COMMANDS = {
         "--concurrency", "16",
     ],
     "bench-store": ["--cells", "200", "--lookups", "3"],
-    "bench-pipeline": [
-        "--scale", "smoke", "--tables", "7", "--repeats", "1", "--quiet",
-    ],
     "bench-optimal": ["--scale", "smoke", "--quiet"],
 }
 
@@ -77,6 +75,7 @@ class TestBenchkit:
         block = provenance()
         assert set(block) == PROVENANCE_KEYS
         assert block["git_sha"] is None or len(block["git_sha"]) == 40
+        assert (block["dirty"] is None) == (block["git_sha"] is None)
         assert block["date"].endswith("+00:00")
 
     def test_write_record_stamps_once(self, tmp_path):
@@ -86,6 +85,28 @@ class TestBenchkit:
         assert loaded["provenance"] == {"pinned": True}
         bare = write_record({"benchmark": "demo"}, tmp_path / "bare.json")
         assert set(json.loads(bare.read_text())["provenance"]) == PROVENANCE_KEYS
+
+    def test_provenance_marks_a_dirty_checkout(self, tmp_path, monkeypatch):
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        monkeypatch.setattr(benchkit, "_PACKAGE_DIR", tmp_path)
+        block = provenance()
+        assert (block["git_sha"], block["dirty"]) == (None, None)
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("a\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "init")
+        block = provenance()
+        assert len(block["git_sha"]) == 40 and block["dirty"] is False
+        (tmp_path / "untracked.txt").write_text("x\n")
+        assert provenance()["dirty"] is False
+        (tmp_path / "tracked.txt").write_text("b\n")
+        dirty = provenance()
+        assert (dirty["git_sha"], dirty["dirty"]) == (block["git_sha"], True)
 
     def test_best_of_interleaved_keeps_the_minimum(self, monkeypatch):
         clock = {"wall": 0.0, "cpu": 0.0}

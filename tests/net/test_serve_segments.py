@@ -114,7 +114,7 @@ def _assert_twins(spec, segments, *, checkpoint_every=None, record=False):
 
 
 class TestSegmentsEqualPerSegmentStreams:
-    @pytest.mark.parametrize("engine", ["native", "flat", "object"])
+    @pytest.mark.parametrize("engine", ["native", "object"])
     @pytest.mark.parametrize("k", [2, 3, MAX_K])
     @settings(max_examples=25, deadline=None)
     @given(segments=segment_lists, record=st.booleans())
@@ -122,7 +122,7 @@ class TestSegmentsEqualPerSegmentStreams:
         spec = {"algorithm": "kary-splaynet", "n": N, "k": k, "engine": engine}
         _assert_twins(spec, segments, record=record)
 
-    @pytest.mark.parametrize("engine", ["native", "flat"])
+    @pytest.mark.parametrize("engine", ["native", "object"])
     @settings(max_examples=25, deadline=None)
     @given(segments=segment_lists, every=st.integers(1, 7))
     def test_checkpoint_cadence(self, engine, segments, every):
@@ -152,7 +152,7 @@ class TestServeSegmentsApi:
         session = open_session("kary-splaynet", n=N, k=3, engine="native")
         assert session.network.serves_segments
         assert not open_session(
-            "kary-splaynet", n=N, k=3, engine="flat"
+            "kary-splaynet", n=N, k=3, engine="object"
         ).network.serves_segments
 
     @needs_kernel
@@ -194,7 +194,7 @@ class TestServeSegmentsApi:
 class TestNodeIdsAreIntegers:
     """Float ids raise ExperimentError on every engine and entry point."""
 
-    @pytest.mark.parametrize("engine", ["native", "flat", "object"])
+    @pytest.mark.parametrize("engine", ["native", "object"])
     def test_float_ids_rejected_everywhere(self, engine):
         session = open_session("kary-splaynet", n=N, k=3, engine=engine)
         before = _signature(session)
@@ -216,7 +216,7 @@ class TestNodeIdsAreIntegers:
         assert session.metrics.requests == 0
         assert _signature(session) == before
 
-    @pytest.mark.parametrize("engine", ["native", "flat", "object"])
+    @pytest.mark.parametrize("engine", ["native", "object"])
     def test_integer_kinds_still_accepted(self, engine):
         session = open_session("kary-splaynet", n=N, k=3, engine=engine)
         session.serve(np.int32(2), 7)

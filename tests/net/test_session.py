@@ -5,9 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.engine import best_available_engine
 from repro.errors import ExperimentError
 from repro.net import NetworkSpec, Session, build_network, open_session
 from repro.workloads.synthetic import uniform_trace, zipf_trace
+
+
+#: The array engine where the kernel builds, else object.
+BEST = best_available_engine()
 
 
 def _zipf(n=1024, m=20_000, seed=0):
@@ -77,7 +82,7 @@ class TestServeStream:
         """Acceptance: chunked streaming == one-shot serve_trace on the
         Zipf n=1024 / k=4 reference workload, on both engines."""
         trace = _zipf()
-        for engine in ("object", "flat"):
+        for engine in ("object", BEST):
             reference = build_network(
                 "kary-splaynet", n=trace.n, k=4, engine=engine
             ).serve_trace(trace.sources, trace.targets)
@@ -128,9 +133,9 @@ class TestServeStream:
 
     def test_stream_matches_per_request_serve(self):
         trace = _zipf(n=64, m=800)
-        streamed = open_session("kary-splaynet", n=64, k=3, engine="flat")
+        streamed = open_session("kary-splaynet", n=64, k=3, engine=BEST)
         streamed.serve_stream(trace, chunk=128)
-        scalar = open_session("kary-splaynet", n=64, k=3, engine="flat")
+        scalar = open_session("kary-splaynet", n=64, k=3, engine=BEST)
         for u, v in zip(trace.sources.tolist(), trace.targets.tolist()):
             scalar.serve(u, v)
         assert scalar.metrics.to_dict() == streamed.metrics.to_dict()
@@ -255,14 +260,14 @@ class TestLatencyStats:
 
 class TestSessionLatency:
     def test_scalar_serve_records_latency(self):
-        session = open_session("kary-splaynet", n=16, k=2, engine="flat")
+        session = open_session("kary-splaynet", n=16, k=2, engine=BEST)
         for _ in range(10):
             session.serve(1, 9)
         assert session.metrics.latency.total == 10
         assert session.metrics.latency_p99 >= session.metrics.latency_p50 > 0
 
     def test_stream_records_per_request_latency(self):
-        session = open_session("kary-splaynet", n=32, k=3, engine="flat")
+        session = open_session("kary-splaynet", n=32, k=3, engine=BEST)
         trace = uniform_trace(32, 200, seed=3)
         session.serve_stream(trace, chunk=50)
         assert session.metrics.latency.total == 200
@@ -271,7 +276,7 @@ class TestSessionLatency:
     def test_latency_excluded_from_deterministic_view(self):
         """to_dict is compared cell-for-cell across differently-timed
         runs (reliability suites), so timing must stay out of it."""
-        session = open_session("kary-splaynet", n=16, k=2, engine="flat")
+        session = open_session("kary-splaynet", n=16, k=2, engine=BEST)
         session.serve(1, 9)
         assert "latency" not in session.metrics.to_dict()
         copied = session.metrics.copy()
@@ -284,16 +289,16 @@ class TestAutoChunk:
     def test_default_chunk_is_auto_sized(self):
         from repro.net.session import DEFAULT_CHUNK
 
-        session = open_session("kary-splaynet", n=16, k=2, engine="flat")
+        session = open_session("kary-splaynet", n=16, k=2, engine=BEST)
         assert session._auto_chunk() == DEFAULT_CHUNK
         capped = open_session(
-            "kary-splaynet", n=16, k=2, engine="flat", checkpoint_every=100
+            "kary-splaynet", n=16, k=2, engine=BEST, checkpoint_every=100
         )
         assert capped._auto_chunk() == 100
 
     def test_auto_chunk_honours_checkpoint_cadence(self):
         session = open_session(
-            "kary-splaynet", n=32, k=2, engine="flat", checkpoint_every=25
+            "kary-splaynet", n=32, k=2, engine=BEST, checkpoint_every=25
         )
         trace = uniform_trace(32, 100, seed=7)
         session.serve_stream(trace)  # chunk=None -> auto
@@ -302,6 +307,6 @@ class TestAutoChunk:
         assert session.last_checkpoint is not None
 
     def test_explicit_bad_chunk_still_rejected(self):
-        session = open_session("kary-splaynet", n=16, k=2, engine="flat")
+        session = open_session("kary-splaynet", n=16, k=2, engine=BEST)
         with pytest.raises(ExperimentError):
             session.serve_stream([(1, 2)], chunk=0)

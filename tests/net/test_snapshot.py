@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import ENGINE_NAMES, ENGINES
+from repro.core.engine import ENGINES
 from repro.core.flat import FlatTree, tree_signature
 from repro.net import build_network, open_session
 from repro.workloads.synthetic import zipf_trace
@@ -51,7 +51,7 @@ def _serve_costs(session, sources, targets):
 
 
 class TestKArySnapshotBothEngines:
-    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("k", [2, 4])
     def test_restore_reproduces_topology_and_costs(self, engine, k):
         n = 64
@@ -125,7 +125,7 @@ class TestKArySnapshotBothEngines:
 
 
 def build_restored(n, k, checkpoint):
-    net = build_network("kary-splaynet", n=n, k=k, engine="flat")
+    net = build_network("kary-splaynet", n=n, k=k, engine="object")
     net.restore_state(checkpoint.state)
     return net
 
@@ -244,8 +244,8 @@ from hypothesis import strategies as st  # noqa: E402
 def test_snapshot_restore_property(seed, k, split):
     """Property: for any request sequence and any checkpoint position, the
     restored session replays the tail at identical costs with identical
-    final topology, and every engine (object, flat and — where the kernel
-    is available — native) agrees on both."""
+    final topology, and both engines (object and, where the kernel is
+    available, native) agree on both."""
     n = 32
     rng = np.random.default_rng(seed)
     sources = rng.integers(1, n + 1, size=250).tolist()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import ENGINE_NAMES
+from repro.core.engine import ENGINES, best_available_engine
 from repro.core.flat import tree_signature
 from repro.net import build_network
 from repro.network.policies import (
@@ -51,7 +51,7 @@ WRAPPERS = [
 
 
 @pytest.mark.parametrize("make_wrapper", WRAPPERS)
-@pytest.mark.parametrize("engine", ENGINE_NAMES)
+@pytest.mark.parametrize("engine", ENGINES)
 def test_batched_equals_per_request(make_wrapper, engine):
     trace = _trace()
     scalar_net = make_wrapper(_inner(engine))
@@ -76,7 +76,7 @@ def test_simulator_takes_fast_path(make_wrapper):
     """Simulator.run consumes the wrapper's serve_trace when validation is
     off — the wrapped-network fast path the bugfix adds."""
     trace = _trace()
-    network = make_wrapper(_inner("flat"))
+    network = make_wrapper(_inner(best_available_engine()))
     calls = []
     original = network.serve_trace
 
@@ -94,7 +94,7 @@ def test_frozen_vectorized_matches_scalar_loop():
     """FrozenNetwork's one-stretch vectorized path equals the generic
     scalar accumulation (and never mutates the inner topology)."""
     trace = _trace()
-    frozen = FrozenNetwork(_inner("flat"))
+    frozen = FrozenNetwork(_inner(best_available_engine()))
     before = _signature(frozen)
     batch = frozen.serve_trace(trace.sources, trace.targets, record_series=True)
     scalar = [frozen.serve(int(u), int(v)) for u, v in trace.pairs()]
@@ -118,7 +118,7 @@ def test_frozen_falls_back_without_tree():
 
 def test_thresholded_counters_advance_in_batch():
     trace = _trace()
-    wrapped = ThresholdedNetwork(_inner("flat"), 2)
+    wrapped = ThresholdedNetwork(_inner(best_available_engine()), 2)
     wrapped.serve_trace(trace.sources, trace.targets)
     assert wrapped.served == M
     assert 0 < wrapped.adjusted < M
@@ -128,7 +128,7 @@ def test_probabilistic_seeded_batch_reproducible():
     trace = _trace()
     totals = []
     for _ in range(2):
-        wrapped = ProbabilisticNetwork(_inner("flat"), 0.3, seed=21)
+        wrapped = ProbabilisticNetwork(_inner(best_available_engine()), 0.3, seed=21)
         batch = wrapped.serve_trace(trace.sources, trace.targets)
         totals.append((batch.total_routing, batch.total_rotations, wrapped.adjusted))
     assert totals[0] == totals[1]
@@ -141,7 +141,7 @@ def test_wrapper_chain_batches():
 
     def chain():
         return ProbabilisticNetwork(
-            ThresholdedNetwork(_inner("flat"), 1), 0.7, seed=3
+            ThresholdedNetwork(_inner(best_available_engine()), 1), 0.7, seed=3
         )
 
     batched = chain().serve_trace(trace.sources, trace.targets)
@@ -153,14 +153,14 @@ def test_wrapper_chain_batches():
 
 def test_batch_accepts_trace_object():
     trace = _trace()
-    wrapped = ThresholdedNetwork(_inner("flat"), 2)
+    wrapped = ThresholdedNetwork(_inner(best_available_engine()), 2)
     batch = wrapped.serve_trace(trace)
     assert batch.m == trace.m
 
 
 def test_record_series_dtype():
     trace = _trace()
-    wrapped = FrozenNetwork(_inner("flat"))
+    wrapped = FrozenNetwork(_inner(best_available_engine()))
     batch = wrapped.serve_trace(trace.sources, trace.targets, record_series=True)
     assert batch.routing_series.dtype == np.int64
     assert len(batch.routing_series) == trace.m

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import best_available_engine
+from repro.core.engine import ENGINES, best_available_engine
 from repro.errors import ExperimentError, ReliabilityError
 from repro.net import open_session
 from repro.reliability.faults import FaultPlan, FaultSpec, inject_faults
@@ -62,7 +62,7 @@ class TestCadence:
 
 
 class TestRecover:
-    @pytest.mark.parametrize("engine", ["object", "flat"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_recover_rewinds_and_replay_matches_straight_run(self, engine):
         trace = uniform_trace(32, 60, seed=4)
         straight = _session(engine)

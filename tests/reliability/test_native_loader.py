@@ -71,7 +71,7 @@ class TestInjectedLoadFailure:
         assert kernel is None
         assert "injected" in (_native.build_error() or "")
 
-    def test_engine_layer_falls_back_to_flat(self, fresh_cache, monkeypatch):
+    def test_engine_layer_falls_back_to_object(self, fresh_cache, monkeypatch):
         import repro.core.engine as engine_module
 
         monkeypatch.setattr(engine_module, "_native_fallback_warned", True)

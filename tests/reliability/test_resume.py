@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.engine import ENGINES
 from repro.errors import ExperimentError, FaultInjected
 from repro.parallel.pool import ParallelConfig
 from repro.reliability.faults import (
@@ -139,7 +140,7 @@ class TestKillAndResumeEquality:
     """
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("engine", ["object", "flat"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_torn_sink_write_then_resume_serial(self, tmp_path, engine, backend):
         """Flavor 1: simulated SIGKILL tears the store mid-write."""
         specs = [s.replace(engine=engine) for s in _campaign(6)]

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core.engine import best_available_engine, native_available
+from repro.core.engine import ENGINES, best_available_engine, native_available
 from repro.errors import ExperimentError
 from repro.results import JsonlStore
 from repro.scenarios import (
@@ -52,10 +52,6 @@ class TestKeying:
         assert spec_cache_key(spec(engine=None)) == spec_cache_key(
             spec(engine=best_available_engine())
         )
-        # "flat" builds on the object engine: the same work, one key.
-        assert spec_cache_key(spec(engine="object")) == spec_cache_key(
-            spec(engine="flat")
-        )
         if native_available():
             assert spec_cache_key(spec(engine="object")) != spec_cache_key(
                 spec(engine="native")
@@ -74,7 +70,7 @@ class TestKeying:
 
 
 class TestCachedEqualsFresh:
-    @pytest.mark.parametrize("engine", ["flat", "object"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_cached_cell_matches_fresh_cell(self, cache, engine):
         fresh = run_specs([spec(engine=engine)], cache=cache)[0]
         assert cache.stores == 1 and cache.hits == 0

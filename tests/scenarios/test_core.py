@@ -77,11 +77,11 @@ class TestRunSpecs:
         ]
 
     def test_flat_and_object_engines_agree(self):
-        flat = run_specs([spec(engine=best_available_engine())])[0]
+        fast = run_specs([spec(engine=best_available_engine())])[0]
         obj = run_specs([spec(engine="object")])[0]
-        assert flat.total_routing == obj.total_routing
-        assert flat.total_rotations == obj.total_rotations
-        assert flat.total_links_changed == obj.total_links_changed
+        assert fast.total_routing == obj.total_routing
+        assert fast.total_rotations == obj.total_rotations
+        assert fast.total_links_changed == obj.total_links_changed
 
     def test_explicit_trace_override(self):
         trace = zipf_trace(24, 300, 1.4, seed=99)

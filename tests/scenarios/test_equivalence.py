@@ -5,8 +5,7 @@ bit-identical whether cells run serially or across workers, and whether
 the self-adjusting cells serve on the object engine or the best available
 one (the native kernel where it builds) — at which point defaulting the
 reproduction pipeline to the fast backend is a pure speedup, not a
-behaviour change.  ``"flat"`` is still an accepted engine name and runs
-the object engine.
+behaviour change.  Every Table 1-7 workload is checked at a tiny scale.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import pytest
 from repro.core.engine import best_available_engine
 from repro.experiments.presets import SMOKE, Scale
 from repro.experiments.runner import run_all
-from repro.experiments.tables import run_kary_table, run_table8
+from repro.experiments.tables import TABLE_WORKLOAD, run_kary_table, run_table8
 
 TINY = Scale(
     name="tiny",
@@ -36,27 +35,28 @@ def _table_fields(result):
             result.optimal, result.n, result.m)
 
 
+@pytest.mark.parametrize(
+    "workload", sorted(set(TABLE_WORKLOAD.values())), scope="class"
+)
 class TestKAryTableEquivalence:
     @pytest.fixture(scope="class")
-    def reference(self):
+    def reference(self, workload):
         """The object-engine serial run — the historical code path."""
-        return run_kary_table("temporal-0.5", scale=TINY, engine="object")
+        return run_kary_table(workload, scale=TINY, engine="object")
 
-    def test_flat_engine_matches_object(self, reference):
+    def test_best_available_engine_matches_object(self, reference, workload):
         fast = run_kary_table(
-            "temporal-0.5", scale=TINY, engine=best_available_engine()
+            workload, scale=TINY, engine=best_available_engine()
         )
         assert _table_fields(fast) == _table_fields(reference)
 
-    def test_default_engine_matches_object(self, reference):
-        default = run_kary_table("temporal-0.5", scale=TINY)
+    def test_default_engine_matches_object(self, reference, workload):
+        default = run_kary_table(workload, scale=TINY)
         assert _table_fields(default) == _table_fields(reference)
 
-    @pytest.mark.parametrize("engine", ["object", "flat"])
-    def test_parallel_matches_serial_per_engine(self, reference, engine):
-        parallel = run_kary_table(
-            "temporal-0.5", scale=TINY, engine=engine, jobs=2
-        )
+    @pytest.mark.parametrize("engine", ["object", best_available_engine()])
+    def test_parallel_matches_serial_per_engine(self, reference, workload, engine):
+        parallel = run_kary_table(workload, scale=TINY, engine=engine, jobs=2)
         assert _table_fields(parallel) == _table_fields(reference)
 
 

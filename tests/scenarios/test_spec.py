@@ -96,7 +96,7 @@ class TestClassification:
 
 class TestJsonRoundTrip:
     def test_single_spec(self):
-        original = spec(engine="flat", cost_model="unit_rotations", group="t5")
+        original = spec(engine="native", cost_model="unit_rotations", group="t5")
         assert ScenarioSpec.from_json(original.to_json()) == original
 
     def test_dict_round_trip_is_lossless(self):

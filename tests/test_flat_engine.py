@@ -95,7 +95,7 @@ class TestEngineSelection:
         assert KArySplayNet(initial=tree).k == 3
         assert KArySplayNet(initial=tree, k=3).k == 3
 
-    def test_flat_engine_adopts_explicit_tree(self):
+    def test_best_available_engine_adopts_explicit_tree(self):
         tree = build_balanced_tree(15, 3)
         net = KArySplayNet(initial=tree, engine=best_available_engine())
         assert net.n == 15 and net.k == 3
@@ -108,14 +108,14 @@ class TestScalarEquivalence:
     def test_serve_equivalence_per_request(self, k, policy, rng):
         n, m = 32, 250
         trace = uniform_trace(n, m, seed=1000 * k + len(policy))
-        obj, flat = make_pair(n, k, policy=policy)
+        obj, fast = make_pair(n, k, policy=policy)
         for i, (u, v) in enumerate(trace.pairs()):
-            ra, rb = obj.serve(u, v), flat.serve(u, v)
+            ra, rb = obj.serve(u, v), fast.serve(u, v)
             assert result_tuple(ra) == result_tuple(rb), (k, policy, i)
             if i % 25 == 0:
-                assert tree_signature(obj.tree) == signature(flat)
-        assert tree_signature(obj.tree) == signature(flat)
-        flat.validate()
+                assert tree_signature(obj.tree) == signature(fast)
+        assert tree_signature(obj.tree) == signature(fast)
+        fast.validate()
         obj.validate()
 
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -123,39 +123,39 @@ class TestScalarEquivalence:
     def test_deep_splay_equivalence(self, k, depth):
         n, m = 28, 150
         trace = uniform_trace(n, m, seed=k * depth)
-        obj, flat = make_pair(n, k, splay_depth=depth)
+        obj, fast = make_pair(n, k, splay_depth=depth)
         for i, (u, v) in enumerate(trace.pairs()):
-            ra, rb = obj.serve(u, v), flat.serve(u, v)
+            ra, rb = obj.serve(u, v), fast.serve(u, v)
             assert result_tuple(ra) == result_tuple(rb), (k, depth, i)
-        assert tree_signature(obj.tree) == signature(flat)
-        flat.validate()
+        assert tree_signature(obj.tree) == signature(fast)
+        fast.validate()
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_access_and_semi_equivalence(self, k, rng):
         n = 24
-        obj, flat = make_pair(n, k)
+        obj, fast = make_pair(n, k)
         for _ in range(120):
             x = int(rng.integers(1, n + 1))
-            assert result_tuple(obj.access(x)) == result_tuple(flat.access(x))
+            assert result_tuple(obj.access(x)) == result_tuple(fast.access(x))
             u = int(rng.integers(1, n + 1))
             v = int(rng.integers(1, n))
             v += v >= u
             assert result_tuple(obj.serve_semi(u, v)) == result_tuple(
-                flat.serve_semi(u, v)
+                fast.serve_semi(u, v)
             )
-        assert tree_signature(obj.tree) == signature(flat)
-        flat.validate()
+        assert tree_signature(obj.tree) == signature(fast)
+        fast.validate()
 
     def test_distance_and_depth_agree(self, rng):
         n, k = 30, 3
-        obj, flat = make_pair(n, k)
+        obj, fast = make_pair(n, k)
         for _ in range(60):
             u = int(rng.integers(1, n + 1))
             v = int(rng.integers(1, n + 1))
             obj.serve(u, v) if u != v else None
-            flat.serve(u, v) if u != v else None
-            assert obj.distance(u, v) == flat.distance(u, v)
-            assert obj.depth(u) == flat.depth(u)
+            fast.serve(u, v) if u != v else None
+            assert obj.distance(u, v) == fast.distance(u, v)
+            assert obj.depth(u) == fast.depth(u)
 
 
 class TestBatchedEquivalence:
@@ -205,16 +205,16 @@ class TestBatchedEquivalence:
     def test_serve_trace_series_and_cross_engine(self):
         n, k, m = 40, 3, 400
         trace = zipf_trace(n, m, 1.3, seed=5)
-        obj, flat = make_pair(n, k)
+        obj, fast = make_pair(n, k)
         ba = obj.serve_trace(trace, record_series=True)
-        bb = flat.serve_trace(trace.sources, trace.targets, record_series=True)
+        bb = fast.serve_trace(trace.sources, trace.targets, record_series=True)
         assert ba.m == bb.m == m
         assert ba.total_routing == bb.total_routing
         assert ba.total_rotations == bb.total_rotations
         assert ba.total_links_changed == bb.total_links_changed
         assert np.array_equal(ba.routing_series, bb.routing_series)
         assert np.array_equal(ba.rotation_series, bb.rotation_series)
-        flat.validate()
+        fast.validate()
 
     def test_simulator_fast_path_matches_validated_loop(self):
         n, k, m = 24, 3, 200
@@ -235,12 +235,12 @@ class TestCentroidEngineEquivalence:
         n, m = 40, 250
         trace = uniform_trace(n, m, seed=k)
         obj = CentroidSplayNet(n, k, engine="object")
-        flat = CentroidSplayNet(n, k, engine=best_available_engine())
+        fast = CentroidSplayNet(n, k, engine=best_available_engine())
         for i, (u, v) in enumerate(trace.pairs()):
-            ra, rb = obj.serve(u, v), flat.serve(u, v)
+            ra, rb = obj.serve(u, v), fast.serve(u, v)
             assert result_tuple(ra) == result_tuple(rb), (k, i)
-            assert obj.distance(u, v) == flat.distance(u, v)
-        flat.validate()
+            assert obj.distance(u, v) == fast.distance(u, v)
+        fast.validate()
         obj.validate()
 
     def test_centroid_serve_trace_matches_loop(self):
@@ -319,7 +319,7 @@ class TestReviewRegressions:
         assert np.array_equal(scalar._counts, batched._counts)
         assert list(scalar._history) == list(batched._history)
 
-    def test_potential_audit_works_on_flat_engine(self):
+    def test_potential_audit_works_on_best_available_engine(self):
         from repro.analysis.potential import audit_splaynet_accesses
 
         net = KArySplayNet(20, 3, engine=best_available_engine())
@@ -327,17 +327,17 @@ class TestReviewRegressions:
         assert len(audits) == 4
 
 
-class TestFlatLongRun:
+class TestBestAvailableLongRun:
     def test_zipf_long_run_structural_integrity(self):
         n, k, m = 64, 4, 2_000
         trace = zipf_trace(n, m, 1.2, seed=11)
-        obj, flat = make_pair(n, k)
+        obj, fast = make_pair(n, k)
         ba = obj.serve_trace(trace)
-        bb = flat.serve_trace(trace)
+        bb = fast.serve_trace(trace)
         assert (ba.total_routing, ba.total_rotations, ba.total_links_changed) == (
             bb.total_routing,
             bb.total_rotations,
             bb.total_links_changed,
         )
-        assert tree_signature(obj.tree) == signature(flat)
-        flat.validate()
+        assert tree_signature(obj.tree) == signature(fast)
+        fast.validate()

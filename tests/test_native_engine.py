@@ -20,7 +20,6 @@ import pytest
 from repro.core import _native
 from repro.core import engine as engine_module
 from repro.core.engine import (
-    ENGINE_NAMES,
     ENGINES,
     best_available_engine,
     native_available,
@@ -63,8 +62,7 @@ class TestEngineResolution:
 
     def test_engine_tree_class_mapping(self):
         """Only a native network holds a flat tree, and it is native."""
-        for engine in ("object", "flat"):
-            assert KArySplayNet(8, 2, engine=engine).flat is None
+        assert KArySplayNet(8, 2, engine="object").flat is None
         native = KArySplayNet(8, 2, engine="native")
         if native_available():
             assert type(native.flat) is NativeTree
@@ -175,17 +173,17 @@ class TestNativeEquivalence:
         """Scalar serves (one-request entry) interleaved with batches stay
         on the one true topology."""
         n, k = 36, 3
-        flat = KArySplayNet(n, k, engine="object")
+        obj = KArySplayNet(n, k, engine="object")
         nat = KArySplayNet(n, k, engine="native")
         rng = np.random.default_rng(7)
         for round_ in range(6):
             u = int(rng.integers(1, n + 1))
             v = int(rng.integers(1, n))
             v += v >= u
-            assert result_tuple(flat.serve(u, v)) == result_tuple(nat.serve(u, v))
+            assert result_tuple(obj.serve(u, v)) == result_tuple(nat.serve(u, v))
             us = rng.integers(1, n + 1, size=60)
             vs = rng.integers(1, n + 1, size=60)
-            ba = flat.serve_trace(us, vs)
+            ba = obj.serve_trace(us, vs)
             bb = nat.serve_trace(us, vs)
             assert (
                 ba.total_routing,
@@ -196,7 +194,7 @@ class TestNativeEquivalence:
                 bb.total_rotations,
                 bb.total_links_changed,
             ), round_
-        assert tree_signature(flat.tree) == nat.flat.signature()
+        assert tree_signature(obj.tree) == nat.flat.signature()
         nat.flat.validate()
 
     def test_deep_splay_delegates_to_python(self):
@@ -222,10 +220,10 @@ class TestNativeEquivalence:
 
         n, k, m = 40, 2, 300
         trace = zipf_trace(n, m, 1.2, seed=5)
-        flat = CentroidSplayNet(n, k, engine="object")
+        obj = CentroidSplayNet(n, k, engine="object")
         nat = CentroidSplayNet(n, k, engine="native")
         assert nat.engine == "native"
-        ba = flat.serve_trace(trace.sources, trace.targets)
+        ba = obj.serve_trace(trace.sources, trace.targets)
         bb = nat.serve_trace(trace.sources, trace.targets)
         assert (ba.total_routing, ba.total_rotations, ba.total_links_changed) == (
             bb.total_routing,
@@ -236,7 +234,7 @@ class TestNativeEquivalence:
 
     def test_session_mid_stream_snapshot_transfer(self):
         """A checkpoint taken mid-stream on the native engine restores on
-        flat and object sessions with identical replay costs."""
+        object and native sessions with identical replay costs."""
         n, k = 48, 3
         trace = zipf_trace(n, 600, 1.2, seed=21)
         native_session = open_session(
@@ -250,7 +248,7 @@ class TestNativeEquivalence:
         reference = [
             result_tuple(native_session.serve(u, v)) for u, v in zip(*tail)
         ]
-        for engine in ("object", "flat", "native"):
+        for engine in ENGINES:
             session = open_session("kary-splaynet", n=n, k=k, engine=engine)
             session.restore(checkpoint)
             replay = [
@@ -341,7 +339,7 @@ class TestResidentRuntime:
     A resident NativeTree keeps its authoritative state inside the
     kernel handle between serves; every inspection / snapshot /
     cross-engine path must transparently sync it back, request for
-    request identical to the flat and object engines.
+    request identical to the object engine.
     """
 
     @staticmethod
@@ -389,7 +387,7 @@ class TestResidentRuntime:
         native_session.serve_stream(first)  # state now lives in the handle
         checkpoint = native_session.snapshot()
         outcomes = {}
-        for engine in ENGINE_NAMES:
+        for engine in ENGINES:
             session = open_session("kary-splaynet", n=n, k=k, engine=engine)
             session.restore(checkpoint)
             batch = session.serve_stream(rest)
@@ -406,7 +404,7 @@ class TestResidentRuntime:
                 signature,
             )
         native_continue = native_session.serve_stream(rest)
-        assert outcomes["native"] == outcomes["flat"] == outcomes["object"]
+        assert outcomes["native"] == outcomes["object"]
         assert native_continue.total_routing == outcomes["native"][0]
         assert native_session.network.flat.signature() == outcomes["native"][3]
 
