@@ -5,9 +5,8 @@ record; this module is what they have in common:
 
 * :func:`provenance` — where and when a record was measured (git sha
   and whether the checkout was dirty, UTC date, interpreter, machine,
-  CPU count), stamped as one
-  ``provenance`` block on every record :func:`write_record` writes or
-  the CLI prints;
+  CPU count), stamped as one ``provenance`` block on every record
+  :func:`write_record` writes or the CLI prints;
 * :func:`keyed_stream` — the deterministic keyed traffic the serving
   benchmarks drive (Zipf requests, keys round-robin), and
   :func:`clean_totals`, its single-process oracle, in the
