@@ -15,7 +15,7 @@ import sys
 from repro import bar_chart
 from repro.parallel import SweepSpec, cpu_jobs, run_sweep
 from repro.parallel.sweep import SweepCell
-from repro.parallel.tasks import SimulationTask, run_simulation_task
+from repro.scenarios import ScenarioSpec, run_scenario
 
 N = 128
 M = 8_000
@@ -24,7 +24,7 @@ M = 8_000
 def simulate_cell(cell: SweepCell) -> float:
     """One grid point: average routing cost of k-ary SplayNet (module-level
     so it pickles into worker processes)."""
-    task = SimulationTask(
+    spec = ScenarioSpec(
         workload=cell["workload"],
         n=N,
         m=M,
@@ -32,7 +32,7 @@ def simulate_cell(cell: SweepCell) -> float:
         algorithm="kary-splaynet",
         k=cell["k"],
     )
-    return run_simulation_task(task).average_routing
+    return run_scenario(spec).average_routing
 
 
 def main() -> None:

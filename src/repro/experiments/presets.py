@@ -18,8 +18,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.errors import ExperimentError
-from repro.workloads.datacenter import facebook_trace, hpc_trace, projector_trace
-from repro.workloads.synthetic import temporal_trace, uniform_trace
+from repro.parallel.tasks import materialize_trace, workload_generator
 from repro.workloads.trace import Trace
 
 __all__ = ["Scale", "QUICK", "SMOKE", "PAPER", "get_scale", "make_workload", "WORKLOADS"]
@@ -43,15 +42,20 @@ class Scale:
     seed: int = 2024
 
     def workload_n(self, workload: str) -> int:
-        try:
-            return {
-                "uniform": self.uniform_n,
-                "hpc": self.hpc_n,
-                "projector": self.projector_n,
-                "facebook": self.facebook_n,
-            }.get(workload, self.temporal_n)
-        except KeyError:  # pragma: no cover
-            raise ExperimentError(f"unknown workload {workload!r}") from None
+        """Node count of ``workload`` at this scale.
+
+        The four named workloads have their own sizes; every other name
+        :func:`~repro.parallel.tasks.materialize_trace` accepts gets
+        ``temporal_n``, and any other name raises
+        :class:`~repro.errors.ExperimentError`.
+        """
+        workload_generator(workload)
+        return {
+            "uniform": self.uniform_n,
+            "hpc": self.hpc_n,
+            "projector": self.projector_n,
+            "facebook": self.facebook_n,
+        }.get(workload, self.temporal_n)
 
 
 #: CI-sized default scale.
@@ -117,18 +121,5 @@ WORKLOADS = (
 
 
 def make_workload(name: str, scale: Scale) -> Trace:
-    """Instantiate one of the paper's eight workloads at a given scale."""
-    seed = scale.seed
-    m = scale.m
-    if name == "uniform":
-        return uniform_trace(scale.uniform_n, m, seed)
-    if name == "hpc":
-        return hpc_trace(scale.hpc_n, m, seed)
-    if name == "projector":
-        return projector_trace(scale.projector_n, m, seed)
-    if name == "facebook":
-        return facebook_trace(scale.facebook_n, m, seed)
-    if name.startswith("temporal-"):
-        p = float(name.split("-", 1)[1])
-        return temporal_trace(scale.temporal_n, m, p, seed)
-    raise ExperimentError(f"unknown workload {name!r}; choose from {WORKLOADS}")
+    """Instantiate a workload (e.g. one of :data:`WORKLOADS`) at a scale."""
+    return materialize_trace(name, scale.workload_n(name), scale.m, scale.seed)

@@ -10,9 +10,10 @@ experiment harnesses:
    from a root seed through a stable hash (:mod:`repro.parallel.seeds`), and
    outputs are reassembled in submission order.
 2. **Parameters travel, data does not** — workers receive small picklable
-   task descriptions and regenerate traces locally from seeds rather than
-   receiving multi-megabyte arrays through the pipe
-   (:mod:`repro.parallel.tasks`).
+   cell descriptions (:class:`repro.scenarios.ScenarioSpec`) and
+   regenerate traces locally from seeds rather than receiving
+   multi-megabyte arrays through the pipe (:mod:`repro.parallel.tasks`
+   holds the per-worker trace memo).
 3. **Graceful degradation** — ``jobs=1`` (the default) executes serially in
    the calling process with identical semantics, so the parallel path never
    becomes the only tested path.
@@ -25,7 +26,7 @@ Typical use::
     results = run_sweep(my_cell_fn, spec, jobs=4)
 """
 
-from repro.parallel.pool import ParallelConfig, cpu_jobs, parallel_map, parallel_starmap
+from repro.parallel.pool import ParallelConfig, cpu_jobs, parallel_map
 from repro.parallel.seeds import derive_seed, spawn_seeds, seed_for_cell
 from repro.parallel.sweep import (
     SweepCell,
@@ -35,20 +36,15 @@ from repro.parallel.sweep import (
     run_sweep,
 )
 from repro.parallel.tasks import (
-    SimulationTask,
-    SimulationTaskResult,
     clear_trace_cache,
     materialize_trace,
     materialize_trace_cached,
-    run_simulation_task,
-    static_cost_task,
     trace_cache_stats,
 )
 
 __all__ = [
     "ParallelConfig",
     "parallel_map",
-    "parallel_starmap",
     "cpu_jobs",
     "derive_seed",
     "spawn_seeds",
@@ -58,10 +54,6 @@ __all__ = [
     "SweepResult",
     "run_sweep",
     "run_scenario_sweep",
-    "SimulationTask",
-    "SimulationTaskResult",
-    "run_simulation_task",
-    "static_cost_task",
     "materialize_trace",
     "materialize_trace_cached",
     "clear_trace_cache",

@@ -50,7 +50,6 @@ __all__ = [
     "cpu_jobs",
     "parallel_map",
     "parallel_map_outcomes",
-    "parallel_starmap",
 ]
 
 T = TypeVar("T")
@@ -449,25 +448,3 @@ def parallel_map_outcomes(
         return _serial_map(fn, materialized, config, on_outcome)
     return _parallel_outcomes(fn, materialized, config, on_outcome)
 
-
-def parallel_starmap(
-    fn: Callable[..., R],
-    argument_tuples: Iterable[tuple],
-    *,
-    config: Optional[ParallelConfig] = None,
-    jobs: Optional[int] = None,
-) -> list[R]:
-    """``parallel_map`` for functions of several arguments."""
-    return parallel_map(
-        _StarCall(fn), list(argument_tuples), config=config, jobs=jobs
-    )
-
-
-@dataclass(frozen=True)
-class _StarCall:
-    """Picklable adapter turning ``fn(*args)`` into a single-argument call."""
-
-    fn: Callable[..., Any]
-
-    def __call__(self, args: tuple) -> Any:
-        return self.fn(*args)

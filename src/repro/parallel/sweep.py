@@ -2,16 +2,15 @@
 
 A sweep is a cartesian grid over named axes (``k``, ``workload``, ``seed
 repetition``...).  The engine enumerates cells in a deterministic row-major
-order, derives one independent seed per cell, executes cells through the
-scenario execution core (:func:`repro.scenarios.core.run_cells` — the same
-chokepoint behind the table runners and ``run_all``), and reassembles a
+order, derives one independent seed per cell, maps them through
+:func:`repro.parallel.pool.parallel_map`, and reassembles a
 :class:`SweepResult` that can be queried by coordinate or exported as rows.
 
 Simulation sweeps need no hand-written cell function:
 :func:`run_scenario_sweep` maps axis coordinates straight onto
-:class:`~repro.scenarios.spec.ScenarioSpec` fields, so each cell inherits
-the core's per-worker trace memoization and best-available engine
-default.
+:class:`~repro.scenarios.spec.ScenarioSpec` fields and runs each through
+:func:`repro.scenarios.core.run_scenario`, so each cell inherits the
+per-worker trace memoization and best-available engine default.
 
 Example
 -------
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import ExperimentError
-from repro.parallel.pool import ParallelConfig
+from repro.parallel.pool import ParallelConfig, parallel_map
 from repro.parallel.seeds import seed_for_cell
 
 __all__ = [
@@ -192,13 +191,10 @@ def run_sweep(
     ``cell_fn`` must be picklable when ``jobs > 1``.  Values come back in
     enumeration order, so the result is independent of scheduling.
     """
-    # Imported here, not at module level: the scenario core sits above this
-    # package (it consumes repro.parallel.pool/tasks), so a top-level import
-    # would be circular during package initialization.
-    from repro.scenarios.core import run_cells
-
     cells = list(spec.cells())
-    values = run_cells(cell_fn, cells, jobs=jobs, config=config)
+    values = parallel_map(
+        cell_fn, cells, config=config, jobs=None if config else jobs
+    )
     if len(values) != len(cells):
         raise ExperimentError(
             f"sweep produced {len(values)} values for {len(cells)} cells "

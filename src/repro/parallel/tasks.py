@@ -1,33 +1,24 @@
-"""Picklable task functions for parallel experiment cells.
+"""Worker-side trace materialization for experiment cells.
 
-Every function here is module-level (so it pickles under any multiprocessing
-start method) and takes a small frozen dataclass describing the cell.  Tasks
-*regenerate* their workload inside the worker from ``(workload, n, m,
-seed)`` — shipping four scalars instead of a million-row trace array keeps
-IPC negligible and makes cells independent of parent-process state.
-Regenerated traces are memoized per worker process (see
-:func:`materialize_trace_cached`), so the up-to-27 cells of one paper table
-materialize their shared trace once per worker rather than once per cell.
+A cell (:class:`repro.scenarios.ScenarioSpec`) names its workload by
+coordinates ``(workload, n, m, seed)`` and *regenerates* the trace inside
+whichever process runs it — shipping four scalars instead of a
+million-row trace array keeps IPC negligible and makes cells independent
+of parent-process state.  :func:`materialize_trace` is the one place a
+workload name is turned into a generator call.
 
-Supported algorithm names (``SimulationTask.algorithm``) are whatever the
-network construction registry (:mod:`repro.net.registry`) knows: the
-built-ins (``kary-splaynet``, ``centroid-splaynet``, ``splaynet``,
-``lazy``, ``full-tree``, ``centroid-tree``, ``optimal-tree``,
-``optimal-bst``) plus anything added via
-:func:`repro.net.register_network` — a registered algorithm is
-immediately runnable as a parallel experiment cell, no table edits here.
+Regenerated traces are memoized per process
+(:func:`materialize_trace_cached`), so the up-to-27 cells of one paper
+table materialize their shared trace once per worker rather than once
+per cell; the static-optimum cells of a table row likewise share one
+demand matrix (:func:`materialize_demand_cached`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
-from repro.core.engine import check_engine_name
 from repro.errors import ExperimentError
-from repro.net.registry import build_network, require_algorithm
-from repro.net.spec import NetworkSpec, freeze_params
-from repro.network.simulator import Simulator
 from repro.workloads.datacenter import facebook_trace, hpc_trace, projector_trace
 from repro.workloads.demand import DemandMatrix
 from repro.workloads.synthetic import (
@@ -39,10 +30,7 @@ from repro.workloads.synthetic import (
 from repro.workloads.trace import Trace
 
 __all__ = [
-    "SimulationTask",
-    "SimulationTaskResult",
-    "run_simulation_task",
-    "static_cost_task",
+    "workload_generator",
     "materialize_trace",
     "materialize_trace_cached",
     "materialize_demand_cached",
@@ -50,28 +38,44 @@ __all__ = [
     "trace_cache_stats",
 ]
 
+#: Workloads named outright; ``temporal-<p>`` and ``zipf-<alpha>`` carry
+#: their parameter in the name instead.
+_NAMED_WORKLOADS: dict[str, Callable[[int, int, int], Trace]] = {
+    "uniform": uniform_trace,
+    "hpc": hpc_trace,
+    "projector": projector_trace,
+    "facebook": facebook_trace,
+    "permutation": permutation_trace,
+}
+
+
+def workload_generator(workload: str) -> Callable[[int, int, int], Trace]:
+    """The trace generator ``gen(n, m, seed)`` a workload name selects.
+
+    Raises :class:`~repro.errors.ExperimentError` for a name no generator
+    reads, including a ``temporal-``/``zipf-`` name whose parameter is
+    not a number.
+    """
+    generator = _NAMED_WORKLOADS.get(workload)
+    if generator is not None:
+        return generator
+    family, _, value = workload.partition("-")
+    if family in ("temporal", "zipf"):
+        try:
+            parameter = float(value)
+        except ValueError:
+            raise ExperimentError(
+                f"workload {workload!r} needs a numeric {family} parameter"
+            ) from None
+        if family == "temporal":
+            return lambda n, m, seed: temporal_trace(n, m, parameter, seed)
+        return lambda n, m, seed: zipf_trace(n, m, alpha=parameter, seed=seed)
+    raise ExperimentError(f"unknown workload {workload!r}")
+
 
 def materialize_trace(workload: str, n: int, m: int, seed: int) -> Trace:
-    """Regenerate a workload trace inside a worker process.
-
-    Mirrors :func:`repro.experiments.presets.make_workload` but is driven by
-    explicit ``(n, m, seed)`` so tasks stay self-contained.
-    """
-    if workload == "uniform":
-        return uniform_trace(n, m, seed)
-    if workload == "hpc":
-        return hpc_trace(n, m, seed)
-    if workload == "projector":
-        return projector_trace(n, m, seed)
-    if workload == "facebook":
-        return facebook_trace(n, m, seed)
-    if workload == "permutation":
-        return permutation_trace(n, m, seed)
-    if workload.startswith("temporal-"):
-        return temporal_trace(n, m, float(workload.split("-", 1)[1]), seed)
-    if workload.startswith("zipf-"):
-        return zipf_trace(n, m, alpha=float(workload.split("-", 1)[1]), seed=seed)
-    raise ExperimentError(f"unknown workload {workload!r}")
+    """Generate the trace at ``(workload, n, m, seed)``."""
+    return workload_generator(workload)(n, m, seed)
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +116,8 @@ def materialize_trace_cached(workload: str, n: int, m: int, seed: int) -> Trace:
         if len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
             for stale in [k for k in _TRACE_CACHE if k not in _PINNED_KEYS]:
                 del _TRACE_CACHE[stale]
+        # Looked up at call time, so a wrapper installed on this module
+        # (perfbench's layer clock) sees every generation.
         trace = materialize_trace(workload, n, m, seed)
         _TRACE_CACHE[key] = trace
     else:
@@ -153,14 +159,15 @@ def clear_trace_cache() -> None:
     _trace_cache_misses = 0
 
 
-def materialize_demand_cached(trace: Trace, task: "SimulationTask") -> DemandMatrix:
-    """The demand matrix of a task's trace, memoized per process.
+def materialize_demand_cached(
+    trace: Trace, key: tuple[str, int, int, int]
+) -> DemandMatrix:
+    """The demand matrix of the trace memoized under ``key``, per process.
 
-    Keyed by the task's trace coordinates (the same key as the trace
-    memo, and evicted alongside it), so the up-to-9 static-optimum cells
-    of a table row count their shared trace into a matrix once.
+    Keyed by the trace's coordinates (the same key as the trace memo, and
+    evicted alongside it), so the up-to-9 static-optimum cells of a table
+    row count their shared trace into a matrix once.
     """
-    key = (task.workload, task.n, task.m, task.seed)
     demand = _DEMAND_CACHE.get(key)
     if demand is None:
         if len(_DEMAND_CACHE) >= _TRACE_CACHE_MAX:
@@ -178,107 +185,3 @@ def trace_cache_stats() -> dict[str, int]:
         "misses": _trace_cache_misses,
         "size": len(_TRACE_CACHE),
     }
-
-
-# ----------------------------------------------------------------------
-# the task objects
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SimulationTask:
-    """One experiment cell: a workload served by one algorithm.
-
-    Attributes
-    ----------
-    workload, n, m, seed:
-        Trace coordinates, regenerated in the worker.
-    algorithm:
-        A name registered in :mod:`repro.net.registry` (online or static).
-    k:
-        Tree arity (ignored by the binary baselines).
-    engine:
-        Tree-engine backend for engine-capable algorithms (``None`` = the
-        process default; ignored by the rest).
-    initial:
-        Initial topology name for ``kary-splaynet``.
-    params:
-        Frozen ``(name, value)`` algorithm parameters, forwarded to the
-        network constructor (e.g. ``alpha`` for ``lazy``).
-    """
-
-    workload: str
-    n: int
-    m: int
-    seed: int
-    algorithm: str
-    k: int = 2
-    engine: Optional[str] = None
-    initial: str = "complete"
-    params: tuple = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", freeze_params(self.params))
-        require_algorithm(self.algorithm)
-        if self.k < 2:
-            raise ExperimentError(f"k must be >= 2, got {self.k}")
-        check_engine_name(self.engine, ExperimentError)
-
-    def network_spec(self) -> NetworkSpec:
-        """The construction spec this cell builds its network from."""
-        return NetworkSpec(
-            algorithm=self.algorithm,
-            n=self.n,
-            k=self.k,
-            engine=self.engine,
-            initial=self.initial,
-            params=self.params,
-        )
-
-
-@dataclass(frozen=True)
-class SimulationTaskResult:
-    """Scalar outcomes of one cell (small: safe to pipe back to the parent)."""
-
-    task: SimulationTask
-    total_routing: int
-    total_rotations: int
-    total_links_changed: int
-
-    @property
-    def average_routing(self) -> float:
-        return self.total_routing / self.task.m if self.task.m else 0.0
-
-
-def run_simulation_task(task: SimulationTask) -> SimulationTaskResult:
-    """Execute one cell: regenerate the trace, run the algorithm, reduce.
-
-    Both kinds build through :func:`repro.net.build_network`.  Static
-    baselines are costed through their precomputed distance oracle in one
-    vectorized ``serve_trace`` query (no simulation loop); online
-    algorithms run the full trace through the simulator.  Demand-aware
-    constructions receive the per-process memoized demand matrix
-    (:func:`materialize_demand_cached`), so an arity sweep over one
-    workload counts its trace into a matrix once.
-    """
-    trace = materialize_trace_cached(task.workload, task.n, task.m, task.seed)
-    entry = require_algorithm(task.algorithm)
-    if entry.kind == "static":
-        demand = (
-            materialize_demand_cached(trace, task) if entry.needs_demand else None
-        )
-        network = build_network(task.network_spec(), demand=demand)
-        cost = int(network.serve_trace(trace.sources, trace.targets).total_routing)
-        return SimulationTaskResult(task, cost, 0, 0)
-    network = build_network(task.network_spec())
-    run = Simulator().run(network, trace)
-    return SimulationTaskResult(
-        task, run.total_routing, run.total_rotations, run.total_links_changed
-    )
-
-
-def static_cost_task(task: SimulationTask) -> int:
-    """Cost-only variant for static baselines (used by sweep reductions)."""
-    if require_algorithm(task.algorithm).kind != "static":
-        raise ExperimentError(
-            f"static_cost_task requires a static algorithm, got {task.algorithm!r}"
-        )
-    return run_simulation_task(task).total_routing

@@ -42,7 +42,6 @@ from repro.scenarios.registry import (
 )
 from repro.scenarios.core import (
     ScenarioResult,
-    run_cells,
     run_scenario,
     run_specs,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "scenario_names",
     "expand",
     "run_scenario",
-    "run_cells",
     "run_specs",
     "default_results_path",
     "iter_results_jsonl",

@@ -1,10 +1,11 @@
 """The one execution core: run any spec list, serially or across processes.
 
 Every experiment surface of the repository — the serial table functions,
-the parallel table runners, ``run_all``, the sweep engine's simulation
-cells and the ``repro scenarios`` CLI — funnels through
-:func:`run_specs` / :func:`run_cells` here.  That buys three properties in
-one place instead of three divergent code paths:
+the parallel table runners, ``run_all`` and the ``repro scenarios`` CLI —
+funnels through :func:`run_specs` here, and every cell, the sweep
+engine's simulation cells included, runs through :func:`run_scenario`.
+That buys three properties in one place instead of three divergent code
+paths:
 
 * **Determinism** — results are reassembled in submission order, so a run
   is bit-identical for any worker count.
@@ -23,32 +24,27 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.analysis.distance import total_distance_via_potentials
 from repro.core.builders import build_complete_tree
 from repro.core.centroid import build_centroid_tree
 from repro.errors import ExperimentError
+from repro.net.registry import build_network, require_algorithm
 from repro.network.cost import CostModel, ROUTING_ONLY, UNIT_ROTATIONS
+from repro.network.simulator import Simulator
 from repro.optimal.uniform import optimal_uniform_cost
-from repro.parallel.pool import (
-    ParallelConfig,
-    _call_item,
-    parallel_map,
-    parallel_map_outcomes,
-)
+from repro.parallel.pool import ParallelConfig, parallel_map_outcomes
 from repro.parallel.tasks import (
     evict_trace,
-    run_simulation_task,
+    materialize_demand_cached,
+    materialize_trace_cached,
     seed_trace_cache,
 )
 from repro.scenarios.spec import ScenarioSpec
 from repro.workloads.trace import Trace
 
-__all__ = ["ScenarioResult", "run_scenario", "run_cells", "run_specs"]
-
-T = TypeVar("T")
-R = TypeVar("R")
+__all__ = ["ScenarioResult", "run_scenario", "run_specs"]
 
 #: Analytic algorithm → closed-form cost in unordered-pair units.
 _ANALYTIC: dict[str, Callable[[int, int], int]] = {
@@ -117,39 +113,34 @@ class ScenarioResult:
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Execute one cell (module-level, so it pickles into workers).
 
-    Analytic cells evaluate their closed form; online/static cells bridge
-    to :func:`repro.parallel.tasks.run_simulation_task`, inheriting the
-    worker-side trace memo and the engine threading.
+    Analytic cells evaluate their closed form.  The others materialize
+    their trace from the per-process memo and build through
+    :func:`repro.net.build_network`: static baselines are costed through
+    their distance oracle in one vectorized ``serve_trace`` query, with
+    demand-aware constructions reading the memoized demand matrix, and
+    online algorithms serve the full trace through the simulator.
     """
     start = time.perf_counter()
-    if spec.kind == "analytic":
-        cost = _ANALYTIC[spec.algorithm](spec.n, spec.k)
-        return ScenarioResult(spec, cost, 0, 0, time.perf_counter() - start)
-    cell = run_simulation_task(spec.task())
-    return ScenarioResult(
-        spec,
-        cell.total_routing,
-        cell.total_rotations,
-        cell.total_links_changed,
-        time.perf_counter() - start,
-    )
-
-
-def run_cells(
-    fn: Callable[[T], R],
-    cells: Iterable[T],
-    *,
-    jobs: int = 1,
-    config: Optional[ParallelConfig] = None,
-) -> list[R]:
-    """The execution chokepoint: ordered map over cells, serial or pooled.
-
-    ``jobs=1`` (default) runs in-process; ``jobs=0``/negative resolves to
-    all cores; an explicit :class:`ParallelConfig` overrides ``jobs``.
-    Both :func:`run_specs` and the sweep engine
-    (:func:`repro.parallel.sweep.run_sweep`) execute through here.
-    """
-    return parallel_map(fn, cells, config=config, jobs=None if config else jobs)
+    kind = spec.kind
+    if kind == "analytic":
+        totals = (_ANALYTIC[spec.algorithm](spec.n, spec.k), 0, 0)
+    else:
+        trace = materialize_trace_cached(*spec.trace_key())
+        if kind == "static":
+            demand = None
+            if require_algorithm(spec.algorithm).needs_demand:
+                demand = materialize_demand_cached(trace, spec.trace_key())
+            network = build_network(spec.network_spec(), demand=demand)
+            served = network.serve_trace(trace.sources, trace.targets)
+            totals = (int(served.total_routing), 0, 0)
+        else:
+            run = Simulator().run(build_network(spec.network_spec()), trace)
+            totals = (
+                run.total_routing,
+                run.total_rotations,
+                run.total_links_changed,
+            )
+    return ScenarioResult(spec, *totals, time.perf_counter() - start)
 
 
 def run_specs(
@@ -168,9 +159,13 @@ def run_specs(
     Parameters
     ----------
     jobs, config:
-        Worker processes (see :func:`run_cells`).  The config's
-        reliability knobs apply on every path: ``retries``/``backoff``
-        re-attempt transiently failing cells (serial and pooled),
+        Worker processes: ``jobs=1`` (default) runs in-process,
+        ``jobs=0``/negative resolves to all cores, and an explicit
+        :class:`ParallelConfig` overrides ``jobs``.  Serial and pooled
+        runs share one path
+        (:func:`~repro.parallel.pool.parallel_map_outcomes`), so the
+        config's reliability knobs apply to both: ``retries``/``backoff``
+        re-attempt transiently failing cells,
         ``task_timeout``/``pool_respawns`` bound stuck and killed workers
         (pooled), and ``on_error="collect"`` turns per-cell failures into
         skipped cells — a warning per failure, the campaign completes,
@@ -183,8 +178,10 @@ def run_specs(
         :class:`repro.results.SqliteStore`).  Every completed cell
         streams to the sink the moment it finishes — serially in spec
         order, pooled in completion order — so a killed campaign keeps
-        every finished cell on disk.  Cache hits are written too, so the
-        sink record stays a complete campaign record.
+        every finished cell on disk.  Cache hits are written too, each
+        right after the computed cell before it (or first, when none
+        precedes it), so the sink record stays a complete campaign record
+        and a serial record stays in spec order.
     traces:
         Optional pre-built traces keyed by ``(workload, n, m, seed)``,
         pre-seeded into the in-process trace memo — for callers holding a
@@ -216,27 +213,23 @@ def run_specs(
     from repro.scenarios.cache import resolve_result_cache
 
     specs = list(specs)
-    seeded: list[tuple[str, int, int, int]] = []
     serial = config.resolved_jobs() == 1 if config is not None else jobs == 1
-    on_error = config.on_error if config is not None else "raise"
     resolved_cache = resolve_result_cache(cache)
     pinned_keys: frozenset = frozenset(traces or ())
-    if traces:
-        if not serial:
+    if traces and not serial:
+        raise ExperimentError(
+            "explicit traces require serial execution (jobs=1): worker "
+            "processes regenerate traces from coordinates and cannot see "
+            "the caller's trace objects"
+        )
+    for (workload, n, m, seed), trace in (traces or {}).items():
+        if (n, m) != (trace.n, trace.m):
             raise ExperimentError(
-                "explicit traces require serial execution (jobs=1): worker "
-                "processes regenerate traces from coordinates and cannot see "
-                "the caller's trace objects"
+                f"traces key ({workload!r}, {n}, {m}, {seed}) does not "
+                f"match the supplied trace (n={trace.n}, m={trace.m}); "
+                "cells under the mismatched key would silently run on a "
+                "regenerated trace"
             )
-        for (workload, n, m, seed), trace in traces.items():
-            if (n, m) != (trace.n, trace.m):
-                raise ExperimentError(
-                    f"traces key ({workload!r}, {n}, {m}, {seed}) does not "
-                    f"match the supplied trace (n={trace.n}, m={trace.m}); "
-                    "cells under the mismatched key would silently run on a "
-                    "regenerated trace"
-                )
-            seeded.append(seed_trace_cache(trace, workload, seed))
 
     def cacheable(cell: ScenarioSpec) -> bool:
         return resolved_cache is not None and cell.trace_key() not in pinned_keys
@@ -263,74 +256,59 @@ def run_specs(
             hit = resolved_cache.lookup(cell)
             if hit is not None:
                 hits[index] = hit
-    try:
-        if serial:
-            # True streaming: each cell hits the sink and the result
-            # cache the moment it completes, so a killed campaign keeps
-            # (and a resumed one skips) every finished cell.  Failures
-            # are wrapped exactly as the pooled path wraps them; with
-            # ``on_error="collect"`` they become skipped cells instead.
-            retry = (config or ParallelConfig()).retry_policy()
-            results = []
-            for index, cell in enumerate(specs):
-                fresh = False
-                if index in resumed:
-                    result = resumed[index]
-                elif index in hits:
-                    result, fresh = hits[index], True
-                else:
-                    result, fresh = _run_one_serial(
-                        index, cell, retry, on_error, finish
-                    )
-                    if result is None:
-                        continue
-                if sink is not None and fresh:
-                    sink.write(result)
-                results.append(result)
-            return results
-        pending = [
-            (index, cell)
-            for index, cell in enumerate(specs)
-            if index not in hits and index not in resumed
-        ]
-        merged: list[Optional[ScenarioResult]] = [None] * len(specs)
-        for index, hit in hits.items():
-            merged[index] = hit
-            if sink is not None:
-                sink.write(hit)
-        for index, prior in resumed.items():
-            merged[index] = prior
+    # Cache hits are not computed again; each rides with the pending cell
+    # before it, so writing it after that cell's outcome keeps a serial
+    # record in spec order.  ``after[p + 1]`` follows pending cell ``p``;
+    # ``after[0]`` holds the hits that precede every pending cell.
+    pending: list[int] = []
+    after: list[list[ScenarioResult]] = [[]]
+    for index in range(len(specs)):
+        if index in hits:
+            after[-1].append(hits[index])
+        elif index not in resumed:
+            pending.append(index)
+            after.append([])
+    merged: list[Optional[ScenarioResult]] = [None] * len(specs)
+    for index, prior in {**resumed, **hits}.items():
+        merged[index] = prior
 
-        def stream(outcome) -> None:
-            # Runs in the parent as each pooled cell completes: cache
-            # store + sink write immediately, so an abort later in the
-            # campaign cannot lose this cell.
-            if not outcome.ok:
-                warnings.warn(
-                    f"cell {pending[outcome.index][1]!r} failed after"
-                    f" {outcome.attempts} attempt(s): {outcome.error}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return
-            spec_index, cell = pending[outcome.index]
-            result = finish(cell, outcome.value)
-            merged[spec_index] = result
-            if sink is not None:
+    def write(*results: ScenarioResult) -> None:
+        if sink is not None:
+            for result in results:
                 sink.write(result)
 
+    def stream(outcome) -> None:
+        # Runs in the calling process as each cell completes: cache store
+        # and sink write immediately, so an abort later in the campaign
+        # cannot lose this cell.
+        spec_index = pending[outcome.index]
+        if outcome.ok:
+            merged[spec_index] = finish(specs[spec_index], outcome.value)
+            write(merged[spec_index])
+        else:
+            warnings.warn(
+                f"cell {specs[spec_index]!r} failed after"
+                f" {outcome.attempts} attempt(s): {outcome.error}",
+                RuntimeWarning,
+            )
+        write(*after[outcome.index + 1])
+
+    seeded: list[tuple[str, int, int, int]] = []
+    try:
+        for (workload, _, _, seed), trace in (traces or {}).items():
+            seeded.append(seed_trace_cache(trace, workload, seed))
+        write(*after[0])
         parallel_map_outcomes(
             run_scenario,
-            [cell for _, cell in pending],
+            [specs[index] for index in pending],
             config=config,
             jobs=None if config else jobs,
             on_outcome=stream,
         )
-        results = [result for result in merged if result is not None]
     finally:
         for key in seeded:
             evict_trace(key)
-    return results
+    return [result for result in merged if result is not None]
 
 
 def _seed_resume(
@@ -374,34 +352,3 @@ def _seed_resume(
         if bucket:
             resumed[index] = bucket.popleft()
     return resumed
-
-
-def _run_one_serial(
-    index: int,
-    cell: ScenarioSpec,
-    retry,
-    on_error: str,
-    finish,
-) -> tuple[Optional[ScenarioResult], bool]:
-    """One serial cell under the retry/error policy; ``None`` = skipped."""
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            return finish(cell, _call_item(run_scenario, cell)), True
-        except Exception as exc:  # noqa: BLE001 - policy decides
-            if attempts <= retry.retries and retry.is_transient(exc):
-                delay = retry.delay(attempts)
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            if on_error == "raise":
-                raise ExperimentError(
-                    f"task {index} failed on item {cell!r}: {exc}"
-                ) from exc
-            warnings.warn(
-                f"cell {cell!r} failed after {attempts} attempt(s): {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None, False

@@ -45,8 +45,7 @@ from repro.net.registry import (
     online_algorithms,
     static_algorithms,
 )
-from repro.net.spec import freeze_params
-from repro.parallel.tasks import SimulationTask
+from repro.net.spec import NetworkSpec, freeze_params
 
 __all__ = [
     "ANALYTIC_ALGORITHMS",
@@ -174,23 +173,28 @@ class ScenarioSpec:
         return None
 
     # -- bridges -------------------------------------------------------
-    def task(self) -> SimulationTask:
-        """The picklable worker task for this (non-analytic) cell."""
+    def network_spec(self) -> NetworkSpec:
+        """The network this (non-analytic) cell builds, engine resolved."""
         if self.kind == "analytic":
             raise ExperimentError(
-                f"analytic cell {self.algorithm!r} has no simulation task"
+                f"analytic cell {self.algorithm!r} builds no network"
             )
-        return SimulationTask(
-            workload=self.workload,
-            n=self.n,
-            m=self.m,
-            seed=self.seed,
+        return NetworkSpec(
             algorithm=self.algorithm,
+            n=self.n,
             k=self.k,
             engine=self.resolved_engine(),
             initial=self.initial,
             params=self.params,
         )
+
+    def task(self) -> "ScenarioSpec":
+        """Alias of the spec itself, kept for one reader.
+
+        ``perfbench/reproduce_worker.py`` calls
+        ``spec.task().network_spec()``; drop this alias with that call.
+        """
+        return self
 
     def params_dict(self) -> dict[str, Any]:
         """The frozen params as a plain keyword mapping."""

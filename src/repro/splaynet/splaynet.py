@@ -3,8 +3,11 @@
 SplayNet serves ``(u, v)`` by splaying ``u`` to the position of the lowest
 common ancestor of the endpoints and then splaying ``v`` to a child of
 ``u``.  We reproduce it faithfully (zig / zig-zig / zig-zag with a stop
-node), counting each splay step as one rotation so its reconfiguration
-numbers are directly comparable with the k-ary implementation's.
+node).  Rotations are counted as *primitive* BST rotations: a zig counts
+one, a zig-zig or zig-zag two.  The k-ary networks count one rotation per
+k-splay step instead, so the two rotation totals are in different units;
+choosing one unit for both is ROADMAP item 1 ("Table 8: one rotation unit
+for both networks").
 """
 
 from __future__ import annotations

@@ -58,6 +58,35 @@ class TestWorkloadRegistry:
         with pytest.raises(ExperimentError):
             make_workload("quantum", SMOKE)
 
+    @pytest.mark.parametrize("name", ["unifrom", "temporal-high", "zipf"])
+    def test_workload_n_rejects_unknown_names(self, name):
+        with pytest.raises(ExperimentError):
+            QUICK.workload_n(name)
+
+    @pytest.mark.parametrize("name", ["zipf-1.2", "permutation", "temporal-0.3"])
+    def test_parametric_workloads_take_temporal_n(self, name):
+        assert QUICK.workload_n(name) == QUICK.temporal_n
+
+    def test_matches_the_direct_generators(self):
+        import numpy as np
+
+        from repro.workloads.datacenter import facebook_trace
+        from repro.workloads.synthetic import temporal_trace
+
+        pairs = [
+            (
+                make_workload("facebook", SMOKE),
+                facebook_trace(SMOKE.facebook_n, SMOKE.m, SMOKE.seed),
+            ),
+            (
+                make_workload("temporal-0.25", SMOKE),
+                temporal_trace(SMOKE.temporal_n, SMOKE.m, 0.25, SMOKE.seed),
+            ),
+        ]
+        for via_preset, direct in pairs:
+            assert np.array_equal(via_preset.sources, direct.sources)
+            assert np.array_equal(via_preset.targets, direct.targets)
+
     def test_deterministic(self):
         import numpy as np
 

@@ -15,7 +15,7 @@ from repro.network.lazy import LazyRebuildNetwork
 from repro.network.simulator import Simulator, simulate
 from repro.network.static import StaticTreeNetwork
 from repro.parallel import SweepSpec, run_sweep
-from repro.parallel.tasks import SimulationTask, run_simulation_task
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.splaynet.splaynet import SplayNet
 from repro.workloads.mixtures import (
     elephant_mice_trace,
@@ -83,8 +83,8 @@ class TestMixturesThroughNetworks:
 
 def _sweep_cell(c):
     """Module-level so the process pool can pickle it."""
-    return run_simulation_task(
-        SimulationTask("temporal-0.75", 32, 500, c.seed, "kary-splaynet", c["k"])
+    return run_scenario(
+        ScenarioSpec("temporal-0.75", 32, 500, c.seed, "kary-splaynet", c["k"])
     ).total_routing
 
 
@@ -97,11 +97,11 @@ class TestParallelPipeline:
         assert all(v > 0 for v in serial.values)
 
     def test_paper_shape_through_tasks(self):
-        # the central k-trend holds through the task layer too
+        # the central k-trend holds through the cell runner too
         costs = {}
         for k in (2, 6):
-            result = run_simulation_task(
-                SimulationTask("temporal-0.9", 100, 4_000, 42, "kary-splaynet", k)
+            result = run_scenario(
+                ScenarioSpec("temporal-0.9", 100, 4_000, 42, "kary-splaynet", k)
             )
             costs[k] = result.total_routing
         assert costs[6] < costs[2]

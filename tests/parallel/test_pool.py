@@ -16,7 +16,6 @@ from repro.parallel.pool import (
     cpu_jobs,
     parallel_map,
     parallel_map_outcomes,
-    parallel_starmap,
 )
 
 
@@ -28,10 +27,6 @@ def fail_on_three(x: int) -> int:
     if x == 3:
         raise ValueError("three is right out")
     return x
-
-
-def add(a: int, b: int) -> int:
-    return a + b
 
 
 def pid_of(_: int) -> int:
@@ -123,15 +118,6 @@ class TestParallelPath:
     def test_matches_serial(self):
         items = list(range(25))
         assert parallel_map(square, items, jobs=2) == parallel_map(square, items)
-
-
-class TestStarmap:
-    def test_serial(self):
-        assert parallel_starmap(add, [(1, 2), (3, 4)]) == [3, 7]
-
-    def test_parallel(self):
-        pairs = [(i, i + 1) for i in range(12)]
-        assert parallel_starmap(add, pairs, jobs=2) == [a + b for a, b in pairs]
 
 
 def flaky_until_marker(item) -> int:

@@ -17,6 +17,7 @@ from repro.parallel import (
 )
 from repro.results import JsonlStore
 from repro.scenarios import (
+    ResultCache,
     ScenarioResult,
     ScenarioSpec,
     read_results_jsonl,
@@ -76,7 +77,7 @@ class TestRunSpecs:
             c.total_rotations for c in parallel
         ]
 
-    def test_flat_and_object_engines_agree(self):
+    def test_best_available_and_object_engines_agree(self):
         fast = run_specs([spec(engine=best_available_engine())])[0]
         obj = run_specs([spec(engine="object")])[0]
         assert fast.total_routing == obj.total_routing
@@ -137,6 +138,20 @@ class TestTraceMemoization:
         assert pinned.total_routing == trace_static_cost(expected.tree, custom)
         clear_trace_cache()
 
+    def test_a_refused_run_leaves_no_pinned_trace(self):
+        from repro.parallel.tasks import materialize_trace_cached
+
+        clear_trace_cache()
+        custom = zipf_trace(24, 300, 2.2, seed=5)
+        s = spec(workload="zipf-1.4", seed=99)
+        with pytest.raises(ExperimentError, match="path-backed"):
+            # resume needs a path-backed sink; this one has none
+            run_specs(
+                [s], traces={s.trace_key(): custom}, resume=True, sink=object()
+            )
+        assert materialize_trace_cached(*s.trace_key()) is not custom
+        clear_trace_cache()
+
     def test_pinned_trace_survives_cache_pressure(self):
         from repro.parallel.tasks import (
             _TRACE_CACHE_MAX,
@@ -176,7 +191,7 @@ class TestSink:
     def test_serial_run_streams_completed_cells_before_a_crash(self, tmp_path):
         path = tmp_path / "partial.jsonl"
         # The second cell blows up inside trace materialization
-        # (ValueError on the zipf parameter) — the first cell's line must
+        # (the zipf parameter is not a number) — the first cell's line must
         # already be on disk.
         specs = [spec(k=2), spec(workload="zipf-oops", seed=1)]
         with JsonlStore(path) as sink:
@@ -185,6 +200,37 @@ class TestSink:
         survivors = read_results_jsonl(path)
         assert len(survivors) == 1
         assert survivors[0].spec == specs[0]
+
+    def test_serial_record_interleaves_cache_hits_in_spec_order(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        run_specs([spec(k=k) for k in (2, 4, 6)], cache=cache)
+        specs = [spec(k=k) for k in (2, 3, 4, 5, 6)]  # hit, miss, hit, miss, hit
+        path = tmp_path / "campaign.jsonl"
+        with JsonlStore(path) as sink:
+            results = run_specs(specs, cache=cache, sink=sink)
+        assert cache.hits == 3
+        assert [r.spec for r in read_results_jsonl(path)] == specs
+        assert read_results_jsonl(path) == results
+
+    def test_serial_crash_keeps_the_hits_before_it(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        run_specs([spec(k=2), spec(k=4)], cache=cache)
+        specs = [spec(k=2), spec(workload="zipf-oops", seed=1), spec(k=4)]
+        path = tmp_path / "partial.jsonl"
+        with JsonlStore(path) as sink:
+            with pytest.raises(ExperimentError):
+                run_specs(specs, cache=cache, sink=sink)
+        assert [r.spec for r in read_results_jsonl(path)] == specs[:1]
+
+    def test_pooled_record_holds_every_cell_once(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        run_specs([spec(k=k) for k in (2, 4)], cache=cache)
+        specs = [spec(k=k) for k in (2, 3, 4, 5)]
+        path = tmp_path / "campaign.jsonl"
+        with JsonlStore(path) as sink:
+            results = run_specs(specs, jobs=2, cache=cache, sink=sink)
+        assert [r.spec for r in results] == specs
+        assert sorted(read_results_jsonl(path), key=lambda r: r.spec.k) == results
 
     def test_two_sink_sessions_on_one_path_keep_both_batches(self, tmp_path):
         # Regression: write() used to open with mode "w", so a resumed or

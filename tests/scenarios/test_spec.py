@@ -76,22 +76,34 @@ class TestClassification:
         monkeypatch.setattr(engine_module, "_native_fallback_warned", True)
         cell = spec(engine="native")
         assert cell.resolved_engine() == "object"
-        assert cell.task().engine == "object"
-        assert build_network(cell.task().network_spec()).engine == "object"
+        assert cell.network_spec().engine == "object"
+        assert build_network(cell.network_spec()).engine == "object"
         assert spec().resolved_engine() == "object"
 
     def test_no_engine_for_engine_free_cells(self):
         assert spec(algorithm="splaynet").resolved_engine() is None
         assert spec(algorithm="full-tree", engine="object").resolved_engine() is None
 
-    def test_task_bridge_threads_engine(self):
-        task = spec().task()
-        assert task.engine == best_available_engine()
-        assert (task.workload, task.n, task.m, task.seed) == spec().trace_key()
+    def test_network_spec_threads_the_cell(self):
+        cell = spec(params={"splay_depth": 2})
+        built = cell.network_spec()
+        assert built.engine == best_available_engine()
+        assert (built.algorithm, built.n, built.k, built.initial, built.params) == (
+            cell.algorithm,
+            cell.n,
+            cell.k,
+            cell.initial,
+            cell.params,
+        )
 
-    def test_analytic_cells_have_no_task(self):
+    def test_task_alias_is_the_spec(self):
+        cell = spec()
+        assert cell.task() is cell
+        assert cell.task().network_spec() == cell.network_spec()
+
+    def test_analytic_cells_build_no_network(self):
         with pytest.raises(ExperimentError):
-            spec(algorithm="complete-tree-distance", m=0).task()
+            spec(algorithm="complete-tree-distance", m=0).network_spec()
 
 
 class TestJsonRoundTrip:

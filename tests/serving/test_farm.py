@@ -92,7 +92,7 @@ class TestFarmEquivalence:
 
 
 class TestFarmEngines:
-    def test_workers_use_native_when_available_else_flat(self):
+    def test_workers_use_native_when_available_else_object(self):
         """The farm defaults to resident native trees; without the kernel
         (REPRO_NATIVE=0 / no toolchain) every worker degrades to object."""
         expected = "native" if native_available() else "object"

@@ -94,7 +94,7 @@ class TestNoToolchainFallback:
         assert not native_available()
         assert "REPRO_NATIVE" in _native.build_error()
 
-    def test_native_builds_as_flat_and_warns_once(self, no_native):
+    def test_native_builds_as_object_and_warns_once(self, no_native):
         with pytest.warns(RuntimeWarning, match="falling back"):
             net = KArySplayNet(16, 2, engine="native")
         assert net.engine == "object"
@@ -308,7 +308,7 @@ class TestNativeTreeUnit:
         with pytest.raises(EngineError, match="1..10"):
             nat.serve_many([0], [3])
 
-    def test_out_of_range_self_pairs_served_like_flat(self):
+    def test_out_of_range_self_pairs_served_like_object(self):
         """u == v short-circuits before any array access, so a degenerate
         out-of-range self-pair must serve at cost 0 on both engines."""
         nat = self.make_tree(n=10, k=2)
