@@ -1,8 +1,10 @@
 """Build-and-load layer for the native kernel.
 
 ``kernel.c`` (shipped next to this module) holds the k-ary SplayNet serve
-loop and the forward pass of the optimal-tree DP (``repro_dp_forward``,
-used by :mod:`repro.optimal.general`).  It has no dependency on Python.h,
+loop, the optimal-tree DP (``repro_dp_forward`` and
+``repro_dp_reconstruct``, used by :mod:`repro.optimal.general`) and the
+static-tree entries behind :class:`~repro.core.native.NativeTree`'s
+builders, validation and batch costing.  It has no dependency on Python.h,
 so it compiles with any C toolchain: this module builds it into a shared
 library with ``cc -O3 -shared -fPIC``, caches the result under a
 content-addressed name, and loads it through :mod:`ctypes`.  The library
@@ -62,8 +64,11 @@ __all__ = [
 #: resident-tree handle API; version 3 removed the stateless batch entry;
 #: version 4 added the optimal-tree DP forward pass ``repro_dp_forward``;
 #: version 5 made ``repro_tree_serve_batch`` segmented (per-segment totals);
-#: version 6 added ``repro_tree_splay_until`` and ``repro_tree_lca``.
-_ABI_VERSION = 6
+#: version 6 added ``repro_tree_splay_until`` and ``repro_tree_lca``;
+#: version 7 added the static-tree entries ``repro_dp_reconstruct``,
+#: ``repro_build_complete``, ``repro_tree_validate`` and
+#: ``repro_tree_distances``.
+_ABI_VERSION = 7
 
 _COMPILERS = ("cc", "gcc", "clang")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-fvisibility=default")
@@ -225,6 +230,38 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_void_p,  # w, int64 (n + 1, n + 1)
         ctypes.c_void_p,  # b, int64 (k + 1, n + 1, n + 2), filled
         ctypes.c_int64,  # inf sentinel
+    )
+    fn = lib.repro_dp_reconstruct
+    fn.restype = ctypes.c_int64
+    fn.argtypes = (
+        ctypes.c_void_p,  # handle (n, k of the table)
+        ctypes.c_void_p,  # w, int64 (n + 1, n + 1)
+        ctypes.c_void_p,  # b, int64 (k + 1, n + 1, n + 2), as filled
+        ctypes.c_int64,  # inf sentinel
+        ctypes.c_void_p,  # info, int64 (4,): diagnostics on failure
+    )
+    fn = lib.repro_build_complete
+    fn.restype = ctypes.c_int64
+    fn.argtypes = (
+        ctypes.c_void_p,  # handle
+        ctypes.c_void_p,  # info, int64 (1,): the node on failure
+    )
+    fn = lib.repro_tree_validate
+    fn.restype = ctypes.c_int64
+    fn.argtypes = (
+        ctypes.c_void_p,  # handle
+        ctypes.c_int64,  # routing_based
+        ctypes.c_void_p,  # info, int64 (1,): the node on failure
+    )
+    fn = lib.repro_tree_distances
+    fn.restype = ctypes.c_int64
+    fn.argtypes = (
+        ctypes.c_void_p,  # handle
+        ctypes.c_void_p,  # sources
+        ctypes.c_void_p,  # targets
+        ctypes.c_int64,  # m
+        ctypes.c_void_p,  # series, int64 (m,) (nullable)
+        ctypes.c_void_p,  # total, int64 (1,)
     )
     return lib
 

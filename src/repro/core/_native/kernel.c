@@ -1,5 +1,6 @@
-/* Native kernel: the k-ary SplayNet serve hot loop and the forward pass
- * of the Theorem 2 optimal-tree DP.
+/* Native kernel: the k-ary SplayNet serve hot loop, the Theorem 2
+ * optimal-tree DP (forward pass and reconstruction) and the static-tree
+ * entries (build, validate, cost).
  *
  * Serve path.  The depth-2 k-splay discipline of the object engine
  * (``repro.core.splaynet.KArySplayNet.serve`` -> ``splay_until`` ->
@@ -54,10 +55,23 @@
  * also gets an AVX2 clone picked at load time (see repro_dp_forward for
  * the proof and for -DRK_NO_CLONES).
  *
+ * Static trees.  Four entries build and use trees that never rotate, on
+ * the same handle layout: repro_dp_reconstruct walks the table the
+ * forward pass filled and wires the optimal tree (mirror of
+ * repro.optimal.general._build_tree, tie-breaks and mismatch check
+ * included); repro_build_complete wires the paper's full k-ary tree
+ * (mirror of repro.core.builders.build_complete_tree); repro_tree_validate
+ * checks a layout against the invariants of
+ * repro.core.tree.KAryTreeNetwork.validate; repro_tree_distances costs a
+ * request batch at tree distance (the static baselines' serve_trace).
+ * The Python builders stay as the no-kernel path and as the oracles of
+ * tests/core/test_static_entries.py.
+ *
  * Built by repro.core._native with ``cc -O3 -shared -fPIC``; no Python.h
  * dependency, so any C toolchain works.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -76,8 +90,10 @@
  * repro_tree_serve_batch segmented (one totals row per segment of the
  * batch, so one call answers many coalesced client frames); version 6
  * added repro_tree_splay_until and repro_tree_lca, so every query and
- * rotation of a k-ary SplayNet runs on the resident handle. */
-#define RK_ABI_VERSION 6
+ * rotation of a k-ary SplayNet runs on the resident handle; version 7
+ * added the static-tree entries repro_dp_reconstruct,
+ * repro_build_complete, repro_tree_validate and repro_tree_distances. */
+#define RK_ABI_VERSION 7
 
 int64_t repro_kernel_abi(void) { return RK_ABI_VERSION; }
 
@@ -1257,5 +1273,478 @@ int64_t repro_dp_forward(int64_t n, int64_t k, const int64_t *w, int64_t *b,
         const int64_t wide = (narrow == RK_DP_INF32) ? inf : narrow;
         memcpy(bytes + idx * (int64_t)sizeof(int64_t), &wide, sizeof wide);
     }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Static trees on the handle: build, reconstruct, validate, cost      */
+/* ------------------------------------------------------------------ */
+
+/* The offline half of the reproduction (the full k-ary tree baseline and
+ * the Theorem 2 optimal tree) builds its trees straight into a handle's
+ * flat layout, checks them there and costs traces on them, so a static
+ * tree never exists as Python node objects unless a caller asks for one.
+ * Both builders write the separators of repro.core.keyspace bit for bit:
+ * boundaries x + 0.5 and the private dyadic pads nid + 2^-2, nid + 2^-3,
+ * ... (pad_values), sorted per node. */
+
+/* Empty the layout of a handle: no node wired, pslot -1 everywhere (the
+ * lists of repro.core.flat.FlatTree start the same way).  The epoch
+ * counter is kept, as repro_tree_load keeps it. */
+static void rk_layout_clear(rk_tree *t)
+{
+    const size_t rows = (size_t)(t->n + 1);
+    memset(t->parent, 0, rows * sizeof(int64_t));
+    for (size_t i = 0; i < rows; i++)
+        t->pslot[i] = -1;
+    memset(t->children, 0, rows * (size_t)t->k * sizeof(int64_t));
+    memset(t->routing, 0, rows * (size_t)(t->k - 1) * sizeof(double));
+    t->root = 0;
+}
+
+/* Write count private pads of node nid to out (mirror of
+ * repro.core.keyspace.pad_values, including its precision check).
+ * Returns 0 when float64 runs out of mantissa for nid. */
+static int rk_pads(int64_t nid, int64_t count, double *out)
+{
+    const double base = (double)nid;
+    double frac = 0.25;
+    for (int64_t j = 0; j < count; j++, frac *= 0.5) {
+        const double value = base + frac;
+        if (value == base || value - base != frac)
+            return 0;
+        out[j] = value;
+    }
+    return 1;
+}
+
+/* Wire node nid below parent p at slot ps (p == 0: the root) with the
+ * km1 separators seps, which are sorted in place first. */
+static void rk_place(rk_tree *t, int64_t nid, int64_t p, int64_t ps,
+                     double *seps)
+{
+    const int64_t km1 = t->k - 1;
+    for (int64_t a = 1; a < km1; a++) {
+        const double v = seps[a];
+        int64_t b = a;
+        for (; b > 0 && seps[b - 1] > v; b--)
+            seps[b] = seps[b - 1];
+        seps[b] = v;
+    }
+    memcpy(t->routing + nid * km1, seps, (size_t)km1 * sizeof(double));
+    t->parent[nid] = p;
+    t->pslot[nid] = ps;
+    if (p)
+        t->children[p * t->k + ps] = nid;
+    else
+        t->root = nid;
+}
+
+/* Build the paper's full k-ary tree on identifiers 1..n into the handle:
+ * repro.core.builders.build_complete_tree with the centred own index
+ * (complete_partitioner, then assemble_segment), levels full but the
+ * last, which is packed left.  An explicit stack replaces the recursion.
+ * Returns 0 on success, 1 for n < 1, 2 (with the node in *info) when a
+ * pad would lose float64 precision, 3 when scratch allocation fails. */
+int64_t repro_build_complete(void *handle, int64_t *info)
+{
+    rk_tree *t = (rk_tree *)handle;
+    const int64_t n = t->n, k = t->k, km1 = k - 1;
+    if (n < 1)
+        return 1;
+    int64_t *stack = (int64_t *)malloc((size_t)n * 4 * sizeof(int64_t));
+    if (!stack)
+        return 3;
+    rk_layout_clear(t);
+    int64_t top = 1;
+    stack[0] = 1; /* lo, hi, parent, slot */
+    stack[1] = n;
+    stack[2] = 0;
+    stack[3] = -1;
+    while (top) {
+        top--;
+        const int64_t lo = stack[4 * top], hi = stack[4 * top + 1];
+        const int64_t p = stack[4 * top + 2], ps = stack[4 * top + 3];
+        const int64_t size = hi - lo + 1;
+        int64_t sizes[RK_MAX_K], c = 0;
+        if (size > 1) {
+            /* levels: the fewest with capacity >= size; pk = k^(levels-1) */
+            int64_t cap = 1, pk = 1;
+            while (cap < size) {
+                pk *= k;
+                cap += pk;
+            }
+            const int64_t interior = cap - pk;
+            const int64_t child_last_cap = pk / k;
+            const int64_t child_full = interior - child_last_cap;
+            const int64_t last = size - interior;
+            for (int64_t j = 0; j < k; j++) {
+                int64_t extra = last - j * child_last_cap;
+                extra = extra < 0 ? 0 : extra;
+                extra = extra > child_last_cap ? child_last_cap : extra;
+                if (child_full + extra > 0)
+                    sizes[c++] = child_full + extra;
+            }
+        }
+        const int64_t own = (c + 1) / 2;
+        int64_t blo[RK_MAX_K], bhi[RK_MAX_K];
+        int64_t cursor = lo, nid = lo;
+        for (int64_t j = 0; j < c; j++) {
+            if (j == own)
+                cursor++;
+            blo[j] = cursor;
+            bhi[j] = cursor + sizes[j] - 1;
+            cursor += sizes[j];
+            if (j < own)
+                nid += sizes[j];
+        }
+        double seps[RK_KM1_MAX];
+        int64_t ns = 0;
+        for (int64_t j = 1; j < c; j++)
+            seps[ns++] = (double)(j == own ? nid : bhi[j - 1]) + 0.5;
+        if (!rk_pads(nid, km1 - ns, seps + ns)) {
+            free(stack);
+            *info = nid;
+            return 2;
+        }
+        rk_place(t, nid, p, ps, seps);
+        for (int64_t j = 0; j < c; j++) {
+            stack[4 * top] = blo[j];
+            stack[4 * top + 1] = bhi[j];
+            stack[4 * top + 2] = nid;
+            stack[4 * top + 3] = rk_count_less(t->routing + nid * km1, km1,
+                                               (double)blo[j]);
+            top++;
+        }
+    }
+    free(stack);
+    return 0;
+}
+
+/* One single-tree part (start i, length len) of a DP forest. */
+typedef struct {
+    int64_t i, len;
+} rk_part;
+
+/* Entry B[t, i, L] of a DP table laid out [t][L][i] (repro_dp_forward). */
+#define RK_DPB(tt, ii, ll) (b[(tt) * layer + (ll) * row + (ii)])
+
+/* Reconstruct the optimal routing-based k-ary tree from the table b that
+ * repro_dp_forward just filled for the handle's n and k (w is the same
+ * boundary-crossing matrix, inf the same sentinel) into the handle.
+ * Mirror of repro.optimal.general._build_tree:
+ *
+ *  - the root of segment (i, L) is i + s + 1 with dl trees to its left,
+ *    where (s, dl) is the first minimum of B[dl, i, s] + B[k - dl, i + s
+ *    + 1, L - 1 - s] in s-major order (_single_tree_choice), and that
+ *    minimum must equal B[1, i, L] - w[i, L] exactly;
+ *  - each side splits into single-tree parts by _partition's rule: drop
+ *    to t - 1 trees while B[t] does not beat B[t - 1], else cut off the
+ *    first minimum of B[1, i, s] + B[t - 1, i + s, L - s];
+ *  - the routing array is the root's identifier, a boundary below every
+ *    part but the first on each side, and the root's pads; a part lands
+ *    in the slot of its first identifier.
+ *
+ * An explicit stack replaces the recursion.  Returns 0 on success, 1 for
+ * n < 1, 2 on a reconstruction mismatch (info: i, L, the minimum, the
+ * target), 3 when a forest split finds no finite part (info: i, L, t),
+ * 4 when a pad would lose float64 precision (info: the node), 5 when
+ * scratch allocation fails. */
+int64_t repro_dp_reconstruct(void *handle, const int64_t *w, const int64_t *b,
+                             int64_t inf, int64_t *info)
+{
+    rk_tree *t = (rk_tree *)handle;
+    const int64_t n = t->n, k = t->k, km1 = k - 1;
+    const int64_t row = n + 2, layer = (n + 1) * row;
+    if (n < 1)
+        return 1;
+    int64_t *stack = (int64_t *)malloc((size_t)n * 4 * sizeof(int64_t));
+    if (!stack)
+        return 5;
+    rk_layout_clear(t);
+    int64_t top = 1, status = 0;
+    stack[0] = 0; /* i, L, parent, slot */
+    stack[1] = n;
+    stack[2] = 0;
+    stack[3] = -1;
+    while (top && !status) {
+        top--;
+        const int64_t i = stack[4 * top], len = stack[4 * top + 1];
+        const int64_t p = stack[4 * top + 2], ps = stack[4 * top + 3];
+        int64_t best = INT64_MAX, bs = 0, bdl = 1;
+        for (int64_t s = 0; s < len; s++)
+            for (int64_t dl = 1; dl < k; dl++) {
+                const int64_t v = RK_DPB(dl, i, s) +
+                                  RK_DPB(k - dl, i + s + 1, len - 1 - s);
+                if (v < best) {
+                    best = v;
+                    bs = s;
+                    bdl = dl;
+                }
+            }
+        const int64_t target = RK_DPB(1, i, len) - w[i * (n + 1) + len];
+        if (best != target) {
+            info[0] = i;
+            info[1] = len;
+            info[2] = best;
+            info[3] = target;
+            status = 2;
+            break;
+        }
+        /* parts[0 .. nl) left of the root, parts[nl .. np) right of it */
+        rk_part parts[RK_MAX_K];
+        int64_t np = 0, nl = 0;
+        for (int side = 0; side < 2 && !status; side++) {
+            int64_t si = side ? i + bs + 1 : i;
+            int64_t sl = side ? len - 1 - bs : bs;
+            int64_t st = side ? k - bdl : bdl;
+            while (sl > 0) {
+                if (st <= 1) {
+                    parts[np].i = si;
+                    parts[np++].len = sl;
+                    break;
+                }
+                if (RK_DPB(st, si, sl) >= RK_DPB(st - 1, si, sl)) {
+                    st--;
+                    continue;
+                }
+                int64_t fbest = INT64_MAX, cut = 0;
+                for (int64_t s = 1; s < sl; s++) {
+                    const int64_t v =
+                        RK_DPB(1, si, s) + RK_DPB(st - 1, si + s, sl - s);
+                    if (v < fbest) {
+                        fbest = v;
+                        cut = s;
+                    }
+                }
+                if (!cut || fbest >= inf) {
+                    info[0] = si;
+                    info[1] = sl;
+                    info[2] = st;
+                    status = 3;
+                    break;
+                }
+                parts[np].i = si;
+                parts[np++].len = cut;
+                si += cut;
+                sl -= cut;
+                st--;
+            }
+            if (!side)
+                nl = np;
+        }
+        if (status)
+            break;
+        const int64_t nid = i + bs + 1;
+        double seps[RK_KM1_MAX];
+        int64_t ns = 0;
+        seps[ns++] = (double)nid;
+        for (int64_t j = 1; j < nl; j++)
+            seps[ns++] = (double)parts[j].i + 0.5;
+        for (int64_t j = nl + 1; j < np; j++)
+            seps[ns++] = (double)parts[j].i + 0.5;
+        if (!rk_pads(nid, km1 - ns, seps + ns)) {
+            info[0] = nid;
+            status = 4;
+            break;
+        }
+        rk_place(t, nid, p, ps, seps);
+        for (int64_t j = 0; j < np; j++) {
+            stack[4 * top] = parts[j].i;
+            stack[4 * top + 1] = parts[j].len;
+            stack[4 * top + 2] = nid;
+            stack[4 * top + 3] = rk_count_less(t->routing + nid * km1, km1,
+                                               (double)(parts[j].i + 1));
+            top++;
+        }
+    }
+    free(stack);
+    return status;
+}
+
+#undef RK_DPB
+
+/* Whether a double is an integer (repro.core.keyspace.is_identifier_value
+ * on finite values; infinities and NaN are not). */
+static int rk_is_integral(double v)
+{
+    if (!(v - v == 0.0))
+        return 0;
+    if (v >= 4503599627370496.0 || v <= -4503599627370496.0) /* 2^52 */
+        return 1;
+    return (double)(int64_t)v == v;
+}
+
+/* Check the handle's layout against the structural invariants of
+ * repro.core.tree.KAryTreeNetwork.validate, in one preorder walk that
+ * carries each node's ancestor window:
+ *
+ *   1  the root is in 1..n with parent 0 and pslot -1, and every child
+ *      entry is an identifier in 1..n whose parent and pslot name the
+ *      node and slot holding it;
+ *   2  every routing array is strictly increasing inside the node's
+ *      window (sorted, duplicate-free, finite, not escaping);
+ *   3  no separator is an integer, unless routing_based is set
+ *      (Definition 1(ii): there the identifiers double as separators);
+ *   4  every identifier lies strictly inside its window;
+ *   5  every node is reachable from the root.
+ *
+ * The search property (a child's subtree range inside the open interval
+ * of its slot) needs no pass of its own: that interval is the child's
+ * window, and by 2 the windows of its descendants nest inside it, so by
+ * 4 a subtree escaping its slot is reported at its first node outside
+ * the window.  Returns 0 when the layout is valid, else the number of
+ * the first broken invariant, with the node it was found at in *info;
+ * 6 when scratch allocation fails. */
+int64_t repro_tree_validate(void *handle, int64_t routing_based,
+                            int64_t *info)
+{
+    rk_tree *t = (rk_tree *)handle;
+    const int64_t n = t->n, k = t->k, km1 = k - 1, root = t->root;
+    const int64_t *parent = t->parent, *pslot = t->pslot;
+    const int64_t *children = t->children;
+    *info = root;
+    if (root < 1 || root > n || parent[root] != 0 || pslot[root] != -1)
+        return 1;
+    int64_t *ids = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+    double *win = (double *)malloc((size_t)n * 2 * sizeof(double));
+    if (!ids || !win) {
+        free(ids);
+        free(win);
+        return 6;
+    }
+    int64_t top = 1, seen = 0, status = 0;
+    ids[0] = root;
+    win[0] = -INFINITY;
+    win[1] = INFINITY;
+    while (top && !status) {
+        top--;
+        const int64_t x = ids[top];
+        const double lo = win[2 * top], hi = win[2 * top + 1];
+        const double *r = t->routing + x * km1;
+        seen++;
+        *info = x;
+        double prev = lo;
+        for (int64_t j = 0; j < km1; j++) {
+            if (!(prev < r[j])) {
+                status = 2;
+                break;
+            }
+            if (!routing_based && rk_is_integral(r[j])) {
+                status = 3;
+                break;
+            }
+            prev = r[j];
+        }
+        if (status)
+            break;
+        if (!(prev < hi)) {
+            status = 2;
+            break;
+        }
+        if (!(lo < (double)x && (double)x < hi)) {
+            status = 4;
+            break;
+        }
+        for (int64_t s = 0; s < k; s++) {
+            const int64_t c = children[x * k + s];
+            if (!c)
+                continue;
+            /* Each node is pushed only by the parent and slot it names, so
+             * the stack never holds more than n entries. */
+            if (c < 1 || c > n || parent[c] != x || pslot[c] != s ||
+                top == n) {
+                *info = c;
+                status = 1;
+                break;
+            }
+            ids[top] = c;
+            win[2 * top] = s > 0 ? r[s - 1] : lo;
+            win[2 * top + 1] = s < km1 ? r[s] : hi;
+            top++;
+        }
+    }
+    if (!status && seen != n) {
+        *info = seen;
+        status = 5;
+    }
+    free(ids);
+    free(win);
+    return status;
+}
+
+/* Cost a request batch on the handle's tree without changing it: the
+ * tree distance of every pair (sources[i], targets[i]), i < m, by
+ * depth-and-parent LCA.  One preorder walk from the root fills the
+ * depths; each pair then lifts its deeper end to the other's depth and
+ * climbs both to their meeting point.  *total receives the sum and
+ * series (nullable) the per-pair distances.  Returns 0 on success; 2
+ * (touching no output) when an identifier is outside 1..n; 3 when the
+ * layout is not a tree on 1..n wired as in repro_tree_validate's
+ * invariants 1 and 5, so every climb stays inside the array; 4 when
+ * scratch allocation fails. */
+int64_t repro_tree_distances(void *handle, const int64_t *sources,
+                             const int64_t *targets, int64_t m,
+                             int64_t *series, int64_t *total)
+{
+    rk_tree *t = (rk_tree *)handle;
+    const int64_t n = t->n, k = t->k, root = t->root;
+    const int64_t *parent = t->parent, *children = t->children;
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t u = sources[i], v = targets[i];
+        if (u < 1 || u > n || v < 1 || v > n)
+            return 2;
+    }
+    if (root < 1 || root > n || parent[root] != 0)
+        return 3;
+    int64_t *depth = (int64_t *)malloc((size_t)(n + 1) * 2 * sizeof(int64_t));
+    if (!depth)
+        return 4;
+    int64_t *stack = depth + n + 1;
+    for (int64_t x = 0; x <= n; x++)
+        depth[x] = -1;
+    depth[root] = 0;
+    stack[0] = root;
+    int64_t top = 1, seen = 0;
+    while (top) {
+        const int64_t x = stack[--top];
+        seen++;
+        for (int64_t s = 0; s < k; s++) {
+            const int64_t c = children[x * k + s];
+            if (!c)
+                continue;
+            if (c < 1 || c > n || parent[c] != x || depth[c] >= 0) {
+                free(depth);
+                return 3;
+            }
+            depth[c] = depth[x] + 1;
+            stack[top++] = c;
+        }
+    }
+    if (seen != n) {
+        free(depth);
+        return 3;
+    }
+    int64_t sum = 0;
+    for (int64_t i = 0; i < m; i++) {
+        int64_t a = sources[i], b = targets[i];
+        int64_t da = depth[a], db = depth[b];
+        const int64_t span = da + db;
+        for (; da > db; da--)
+            a = parent[a];
+        for (; db > da; db--)
+            b = parent[b];
+        while (a != b) {
+            a = parent[a];
+            b = parent[b];
+            da--;
+        }
+        const int64_t d = span - 2 * da;
+        sum += d;
+        if (series)
+            series[i] = d;
+    }
+    free(depth);
+    *total = sum;
     return 0;
 }

@@ -38,6 +38,7 @@ __all__ = [
     "build_balanced_tree",
     "build_path_tree",
     "build_random_tree",
+    "check_tree_size",
     "complete_partitioner",
     "balanced_partitioner",
     "path_partitioner",
@@ -152,14 +153,19 @@ def assemble_segment(lo: int, hi: int, k: int, partitioner: Partitioner) -> KAry
     return node
 
 
-def build_from_partitioner(
-    n: int, k: int, partitioner: Partitioner, *, validate: bool = True
-) -> KAryTreeNetwork:
-    """Build a k-ary search tree network on identifiers ``1..n``."""
+def check_tree_size(n: int, k: int) -> None:
+    """Reject a node count or arity no builder supports."""
     if n < 1:
         raise InvalidTreeError(f"need at least one node, got n={n}")
     if not 2 <= k <= MAX_K:
         raise InvalidTreeError(f"arity must be in [2, {MAX_K}], got {k}")
+
+
+def build_from_partitioner(
+    n: int, k: int, partitioner: Partitioner, *, validate: bool = True
+) -> KAryTreeNetwork:
+    """Build a k-ary search tree network on identifiers ``1..n``."""
+    check_tree_size(n, k)
     import sys
 
     old_limit = sys.getrecursionlimit()
@@ -334,7 +340,12 @@ def random_partitioner(k: int, rng: np.random.Generator) -> Partitioner:
 def build_complete_tree(
     n: int, k: int, *, own_index: Optional[int] = None, validate: bool = True
 ) -> KAryTreeNetwork:
-    """The paper's static "full k-ary tree" on identifiers ``1..n``."""
+    """The paper's static "full k-ary tree" on identifiers ``1..n``.
+
+    Where the kernel loads, the same tree (centred own index) is built as
+    a layout by :meth:`repro.core.native.NativeTree.complete`; this is the
+    no-kernel path and that builder's oracle.
+    """
     return build_from_partitioner(
         n, k, complete_partitioner(k, own_index=own_index), validate=validate
     )

@@ -63,6 +63,7 @@ __all__ = [
     "as_request_lists",
     "as_request_arrays",
     "batch_serve",
+    "check_request_ids",
 ]
 
 #: The available tree-engine backends.
@@ -206,12 +207,30 @@ def as_request_arrays(sources, targets=None) -> tuple[np.ndarray, np.ndarray]:
         sources, targets = trace_sources, sources.targets
     us = np.asarray(sources, dtype=np.int64)
     vs = np.asarray(targets, dtype=np.int64)
+    _require_parallel(us, vs)
+    return us, vs
+
+
+def _require_parallel(us: np.ndarray, vs: np.ndarray) -> None:
     if us.ndim != 1 or us.shape != vs.shape:
         raise EngineError(
             f"sources/targets must be equal-length 1-D arrays;"
             f" got shapes {us.shape} and {vs.shape}"
         )
-    return us, vs
+
+
+def check_request_ids(us: np.ndarray, vs: np.ndarray, n: int) -> None:
+    """Reject a batch that is ragged or names an identifier outside ``1..n``.
+
+    The guard in front of the kernel entries that index the tree by
+    request (and of the static oracle path, so both answer alike): a bad
+    batch is an :class:`EngineError` here, never an out-of-bounds read.
+    """
+    _require_parallel(us, vs)
+    if len(us) and (
+        min(us.min(), vs.min()) < 1 or max(us.max(), vs.max()) > n
+    ):
+        raise EngineError(f"request identifiers must be in 1..{n}")
 
 
 def batch_serve(serve_totals, sources, targets=None, *, record_series=False):

@@ -17,7 +17,14 @@ arity ``k`` (index 0 is the null sentinel everywhere):
 The scalar arrays are plain Python lists of machine ints and the per-node
 rows small Python lists, which :class:`~repro.core.native.NativeTree`
 packs into the kernel's contiguous buffers once and copies back out
-(:meth:`_sync_lists`) only when something reads them.
+(:meth:`_sync_lists`) only when something reads them.  The same layout is
+what the kernel builds the static trees in (the full k-ary tree and the
+Theorem 2 optimal tree, see :meth:`NativeTree.complete
+<repro.core.native.NativeTree.complete>`): such a tree is validated and
+costed on the arrays, and becomes a node graph only through
+:meth:`FlatTree.to_tree`.  ``routing_based`` marks a layout whose routing
+arrays hold identifiers (Definition 1(ii)); it carries over to
+:meth:`to_tree`'s :class:`~repro.core.tree.KAryTreeNetwork`.
 """
 
 from __future__ import annotations
@@ -53,7 +60,16 @@ class FlatTree:
     Construct via :meth:`from_tree` or :meth:`from_flat`.
     """
 
-    __slots__ = ("n", "k", "root", "parent", "pslot", "child_rows", "routing_rows")
+    __slots__ = (
+        "n",
+        "k",
+        "root",
+        "parent",
+        "pslot",
+        "child_rows",
+        "routing_rows",
+        "routing_based",
+    )
 
     def __init__(self, n: int, k: int) -> None:
         if k < 2:
@@ -65,6 +81,7 @@ class FlatTree:
         self.pslot = [-1] * (n + 1)
         self.child_rows: list[list[int]] = [[0] * k for _ in range(n + 1)]
         self.routing_rows: list[list[float]] = [[] for _ in range(n + 1)]
+        self.routing_based = False
 
     # ------------------------------------------------------------------
     # conversion
@@ -84,6 +101,7 @@ class FlatTree:
             ]
             routing_rows[nid] = list(node.routing)
         flat.root = tree.root_id
+        flat.routing_based = tree.routing_based
         return flat
 
     def to_tree(self, *, validate: bool = False) -> KAryTreeNetwork:
@@ -102,7 +120,12 @@ class FlatTree:
             for slot, c in enumerate(child_rows[nid]):
                 if c:
                     node.attach_child(nodes[c], slot)
-        return KAryTreeNetwork(k, nodes[self.root], validate=validate)
+        return KAryTreeNetwork(
+            k,
+            nodes[self.root],
+            validate=validate,
+            routing_based=self.routing_based,
+        )
 
     def _sync_lists(self) -> None:
         """Hook for engines whose authoritative state lives elsewhere.
@@ -130,6 +153,7 @@ class FlatTree:
         twin.pslot = list(other.pslot)
         twin.child_rows = [list(row) for row in other.child_rows]
         twin.routing_rows = [list(row) for row in other.routing_rows]
+        twin.routing_based = other.routing_based
         return twin
 
     def copy(self) -> "FlatTree":

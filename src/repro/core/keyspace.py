@@ -119,6 +119,10 @@ def boundary_between(left_id: int, right_id: int) -> float:
     return left_id + 0.5
 
 
+#: The pad offsets ``2^-2, 2^-3, ..., 2^-MAX_K`` in the order they are used.
+_PAD_OFFSETS = tuple(2.0 ** (-j) for j in range(2, MAX_K + 1))
+
+
 def pad_values(node_id: int, count: int) -> Iterator[float]:
     """Yield ``count`` private pad separators for node ``node_id``.
 
@@ -132,9 +136,9 @@ def pad_values(node_id: int, count: int) -> Iterator[float]:
         raise InvalidTreeError(
             f"pad count {count} exceeds supported maximum {MAX_K - 1}"
         )
-    for j in range(2, 2 + count):
-        value = node_id + 2.0 ** (-j)
-        if value == node_id or (value - node_id) != 2.0 ** (-j):
+    for j, offset in enumerate(_PAD_OFFSETS[:count], start=2):
+        value = node_id + offset
+        if value == node_id or (value - node_id) != offset:
             # float64 runs out of mantissa around bits(node_id) + j > 53;
             # reachable only for ~million-node networks at extreme arity.
             raise InvalidTreeError(

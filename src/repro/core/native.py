@@ -12,12 +12,20 @@ operation of a k-ary SplayNet runs there:
   of 0, none and 1);
 * ``lca`` / ``distance`` (``repro_tree_lca``).
 
+It is also the form of the static trees the kernel builds itself:
+:meth:`complete` (the paper's full k-ary tree) and the Theorem 2 optimal
+tree of :mod:`repro.optimal.general` are wired straight into a handle,
+checked there (:meth:`validate`, ``repro_tree_validate``) and costed
+there (:meth:`distances`, ``repro_tree_distances``), with no
+:class:`~repro.core.node.KAryNode` on the way.
+
 The handle is created and loaded when the tree is built
-(:meth:`from_tree` / :meth:`from_flat`), so a tree that exists has a
-kernel to serve on.  The Python lists of the flat layout are a mirror:
-consumers that read them — snapshot/copy, ``signature``, ``to_tree``,
-``validate``, cross-engine transfer — call :meth:`_sync_lists` first,
-which copies the handle out once after the kernel changed it.
+(:meth:`from_tree` / :meth:`from_flat`, or a kernel builder), so a tree
+that exists has a kernel to serve on.  The Python lists of the flat
+layout are a mirror: consumers that read them — snapshot/copy,
+``signature``, ``to_tree``, cross-engine transfer — call
+:meth:`_sync_lists` first, which copies the handle out once after the
+kernel changed it.
 
 The engine serves the paper's depth-2 discipline only.  Which networks
 get a native tree is decided when they are built, in
@@ -33,14 +41,25 @@ import ctypes
 import numpy as np
 
 from repro.core import _native
+from repro.core.builders import check_tree_size
+from repro.core.engine import check_request_ids
 from repro.core.flat import FlatTree
 from repro.core.rotations import BLOCK_POLICIES
-from repro.errors import EngineError, RotationError
+from repro.errors import EngineError, InvalidTreeError, RotationError
 
-__all__ = ["NativeTree"]
+__all__ = ["NativeTree", "precision_error"]
 
 #: Block-policy encoding shared with kernel.c.
 _POLICY_CODES = {"center": 0, "left": 1, "right": 2}
+
+
+#: ``repro_tree_validate``'s status -> the invariant it found broken.
+_INVALID_LAYOUT = {
+    1: "inconsistent parent wiring",
+    2: "routing array not strictly increasing inside its window",
+    3: "separator collides with the identifier lattice",
+    4: "identifier outside its window",
+}
 
 
 def _policy_code(policy: str) -> int:
@@ -50,6 +69,18 @@ def _policy_code(policy: str) -> int:
             f"unknown block policy {policy!r}; choose from {BLOCK_POLICIES}"
         )
     return code
+
+
+def precision_error(nid: int) -> InvalidTreeError:
+    """The error of a kernel builder whose pad for ``nid`` lost precision.
+
+    The kernel's counterpart of :func:`repro.core.keyspace.pad_values`'
+    check: float64 runs out of mantissa only for ~million-node networks
+    at extreme arity.
+    """
+    return InvalidTreeError(
+        f"separator precision exhausted for node {nid}; reduce n or k"
+    )
 
 
 def _segment_ends(ends, m: int) -> np.ndarray:
@@ -117,8 +148,48 @@ class NativeTree(FlatTree):
         """A native copy of ``other``'s topology, loaded into a new handle."""
         return super().from_flat(other)._load()
 
-    def _load(self) -> "NativeTree":
-        """Allocate the handle and load the list state into it (O(n·k))."""
+    @classmethod
+    def empty(
+        cls, n: int, k: int, *, routing_based: bool = False
+    ) -> "NativeTree":
+        """A tree whose state is a fresh handle for a kernel builder to fill.
+
+        The handle is authoritative from the start: the lists are read
+        back from it (:meth:`_sync_lists`) whenever something reads them.
+        """
+        tree = cls(n, k)
+        tree.routing_based = routing_based
+        tree._attach()
+        tree._lists_stale = True
+        return tree
+
+    @classmethod
+    def complete(cls, n: int, k: int) -> "NativeTree":
+        """The paper's full k-ary tree on ``1..n``, built in the kernel.
+
+        The layout of :func:`repro.core.builders.build_complete_tree` (its
+        oracle) with the centred own index, wired by
+        ``repro_build_complete`` and checked by :meth:`validate`.
+        """
+        check_tree_size(n, k)
+        tree = cls.empty(n, k)
+        status = tree._lib.repro_build_complete(tree._handle, tree._out)
+        if status == 2:
+            raise precision_error(tree._out[0])
+        if status:  # pragma: no cover - n checked above; malloc failure
+            raise EngineError(
+                f"native complete-tree build failed (code {status})"
+            )
+        tree.validate()
+        return tree
+
+    @property
+    def handle(self):
+        """The resident kernel handle, for kernel entries that fill it."""
+        return self._handle
+
+    def _attach(self) -> None:
+        """Allocate this tree's kernel handle (every node unwired)."""
         kernel = _native.load_kernel()
         if kernel is None:
             raise EngineError(
@@ -129,6 +200,11 @@ class NativeTree(FlatTree):
         if not handle:  # pragma: no cover - malloc failure
             raise EngineError("native tree handle allocation failed")
         self._lib, self._handle = kernel, handle
+
+    def _load(self) -> "NativeTree":
+        """Allocate the handle and load the list state into it (O(n·k))."""
+        self._attach()
+        kernel, handle = self._lib, self._handle
         n, km1 = self.n, self.k - 1
         parent = np.array(self.parent, dtype=np.int64)
         pslot = np.array(self.pslot, dtype=np.int64)
@@ -176,6 +252,29 @@ class NativeTree(FlatTree):
         self.routing_rows[:] = rows
         self.root = int(root_out[0])
         self._lists_stale = False
+
+    def validate(self) -> None:
+        """Check the resident layout against every structural invariant.
+
+        ``repro_tree_validate`` checks, on the arrays, what
+        :meth:`repro.core.tree.KAryTreeNetwork.validate` checks on a node
+        graph (with identifier separators allowed when the tree is
+        ``routing_based``); a broken invariant raises
+        :class:`InvalidTreeError` naming it and the node it was found at.
+        """
+        out = self._out
+        status = self._lib.repro_tree_validate(
+            self._handle, self.routing_based, out
+        )
+        if status == 5:
+            raise InvalidTreeError(
+                f"flat tree reachable from root has {out[0]} nodes,"
+                f" expected {self.n}"
+            )
+        if status in _INVALID_LAYOUT:
+            raise InvalidTreeError(f"node {out[0]}: {_INVALID_LAYOUT[status]}")
+        if status:  # pragma: no cover - malloc failure
+            raise EngineError(f"native tree validation failed (code {status})")
 
     def _check_id(self, nid: int) -> None:
         if not 1 <= nid <= self.n:
@@ -235,6 +334,35 @@ class NativeTree(FlatTree):
     def depth(self, nid: int) -> int:
         """Depth of ``nid`` (root has depth 0)."""
         return self.splay_until(nid, 0, max_rotations=0)[0]
+
+    def distances(
+        self, sources: np.ndarray, targets: np.ndarray, *, series: bool = False
+    ) -> tuple[int, "np.ndarray | None"]:
+        """Total tree distance of a request batch, without changing the tree.
+
+        ``sources``/``targets`` are equal-length 1-D arrays of identifiers
+        in ``1..n``, checked here so that a bad batch is an
+        :class:`EngineError` before the kernel reads it.  Returns the
+        total and, with ``series``, the per-pair distances: one
+        ``repro_tree_distances`` call, the static baselines' batch path.
+        """
+        us = np.ascontiguousarray(sources, dtype=np.int64)
+        vs = np.ascontiguousarray(targets, dtype=np.int64)
+        check_request_ids(us, vs, self.n)
+        m = len(us)
+        out = np.empty(m, dtype=np.int64) if series else None
+        total = self._out
+        status = self._lib.repro_tree_distances(
+            self._handle,
+            us.ctypes.data,
+            vs.ctypes.data,
+            m,
+            None if out is None else out.ctypes.data,
+            total,
+        )
+        if status:
+            raise EngineError(f"native tree distances failed (code {status})")
+        return total[0], out
 
     # ------------------------------------------------------------------
     # serving

@@ -119,6 +119,12 @@ class KArySplayNet:
                 raise InvalidTreeError("n is required unless a tree is provided")
             if k is None:
                 k = 2
+            if initial == "complete" and self.engine == "native":
+                # The kernel builds this layout itself: no node graph at all.
+                self._k = k
+                self._flat: Optional[NativeTree] = NativeTree.complete(n, k)
+                self._tree: Optional[KAryTreeNetwork] = None
+                return
             if initial == "random":
                 tree = build_random_tree(
                     n, k, np.random.default_rng(seed), validate=False
@@ -129,8 +135,8 @@ class KArySplayNet:
                 raise InvalidTreeError(f"unknown initial topology {initial!r}")
         self._k = tree.k
         if self.engine == "object":
-            self._flat: Optional[NativeTree] = None
-            self._tree: Optional[KAryTreeNetwork] = tree
+            self._flat = None
+            self._tree = tree
         else:
             self._flat = NativeTree.from_tree(tree)
             self._tree = None

@@ -8,7 +8,10 @@ Two measurements, recorded together in ``BENCH_optimal_dp.json``:
   :class:`~repro.optimal.context.DemandContext` across the arity sweep),
   on the scale's DP-dominated demand (facebook, n = 1024 at quick scale).
   ``dp.forward`` names the subsystem's forward pass (``"native"`` kernel
-  or ``"numpy"`` fallback).  Costs are cross-checked, so the benchmark
+  or ``"numpy"`` fallback) and ``dp.reconstruct`` the tree
+  reconstruction the pipeline's optimal-tree cells take (``"native"``,
+  in the kernel, or ``"python"``), read off one tree built through
+  :func:`~repro.optimal.general.optimal_static_tree`.  Costs are cross-checked, so the benchmark
   doubles as an equivalence check at pipeline scale.
 * **Result-cache trajectory** — one DP-dominated table campaign run cold
   (empty cache directory, every cell computed and stored) and then warm
@@ -31,7 +34,7 @@ from repro.core import _native
 from repro.errors import ExperimentError
 from repro.experiments.presets import get_scale
 from repro.optimal.context import DemandContext, clear_context_cache
-from repro.optimal.general import optimal_static_cost_table
+from repro.optimal.general import optimal_static_cost_table, optimal_static_tree
 from repro.optimal.legacy import legacy_optimal_cost_table
 from repro.parallel.tasks import clear_trace_cache, materialize_trace_cached
 from repro.scenarios.cache import ResultCache
@@ -113,9 +116,12 @@ def optimal_dp_benchmark(
         cpu = time.process_time() - cpu0
         subsystem_total += cpu
         per_k[str(k)] = {"subsystem_cpu_seconds": cpu}
+    built = optimal_static_tree(demand, ks[0], context=context)
     dp: dict = {
         # Which forward pass the subsystem timings measure.
         "forward": "native" if _native.available() else "numpy",
+        # Which reconstruction built that tree (kernel layout or objects).
+        "reconstruct": "python" if built.layout is None else "native",
         "per_k": per_k,
         "subsystem_cpu_seconds": subsystem_total,
     }

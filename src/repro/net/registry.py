@@ -25,7 +25,9 @@ Built-in algorithms:
 Static algorithms are wrapped in
 :class:`~repro.network.static.StaticTreeNetwork`, so every build result
 speaks the same serving interface (``serve`` / ``serve_trace`` /
-``distance``).
+``distance``).  Where the kernel loads, ``full-tree`` and
+``optimal-tree`` are built, validated and costed as kernel layouts; the
+object builders are their no-kernel path.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from typing import Any, Callable, Mapping, Optional, Union
 from repro.core.builders import build_complete_tree
 from repro.core.centroid import build_centroid_tree
 from repro.core.centroid_splaynet import CentroidSplayNet
+from repro.core.engine import native_available
+from repro.core.native import NativeTree
 from repro.core.splaynet import KArySplayNet
 from repro.errors import ExperimentError
 from repro.net.spec import NetworkSpec, PolicySpec
@@ -316,6 +320,8 @@ def _make_lazy(spec: NetworkSpec, context: BuildContext) -> LazyRebuildNetwork:
 
 
 def _build_full(spec: NetworkSpec, context: BuildContext) -> StaticTreeNetwork:
+    if native_available():
+        return StaticTreeNetwork(NativeTree.complete(spec.n, spec.k))
     return StaticTreeNetwork(build_complete_tree(spec.n, spec.k))
 
 
@@ -329,7 +335,10 @@ def _build_optimal_kary(
     from repro.optimal.general import optimal_static_tree
 
     demand = context.require_demand(spec.algorithm)
-    return StaticTreeNetwork(optimal_static_tree(demand, spec.k).tree)
+    result = optimal_static_tree(demand, spec.k)
+    return StaticTreeNetwork(
+        result.tree if result.layout is None else result.layout
+    )
 
 
 def _build_optimal_bst(

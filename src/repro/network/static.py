@@ -3,8 +3,21 @@
 The paper's static baselines — the full k-ary tree, the optimal
 routing-based k-ary tree, the full binary tree, the optimal BST network —
 serve requests at their tree distance and never reconfigure.  This wrapper
-gives any tree that cost behaviour plus an O(1)-per-request fast path via a
-precomputed :class:`~repro.analysis.distance.TreeDistanceOracle`.
+gives any tree that cost behaviour plus a batched fast path for
+``serve_trace``:
+
+* a kernel-built layout (a :class:`~repro.core.native.NativeTree`, what
+  the registry's ``full-tree`` and ``optimal-tree`` builds hold where the
+  kernel loads) is costed in the kernel by ``repro_tree_distances``, one
+  call per batch;
+* an object tree (a :class:`~repro.core.tree.KAryTreeNetwork`, a
+  :class:`~repro.splaynet.tree.BSTNetwork`, or anything built without the
+  kernel) is costed by a precomputed
+  :class:`~repro.analysis.distance.TreeDistanceOracle`, which is also the
+  native path's oracle in the tests.
+
+Both paths reject a ragged batch or an identifier outside ``1..n`` with
+an :class:`~repro.errors.EngineError`.
 """
 
 from __future__ import annotations
@@ -12,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.distance import TreeDistanceOracle
-from repro.core.engine import as_request_arrays
+from repro.core.engine import as_request_arrays, check_request_ids
+from repro.core.native import NativeTree
 from repro.network.protocols import BatchServeResult, ServeResult
 
 __all__ = ["StaticTreeNetwork"]
@@ -24,25 +38,38 @@ class StaticTreeNetwork:
     Parameters
     ----------
     tree:
-        Any tree exposing ``root_id``, ``n`` and ``iter_edges()`` —
+        A :class:`~repro.core.native.NativeTree` layout, or any tree
+        exposing ``root_id``, ``n`` and ``iter_edges()`` —
         :class:`~repro.core.tree.KAryTreeNetwork` and
         :class:`~repro.splaynet.tree.BSTNetwork` both qualify.
     """
 
     def __init__(self, tree) -> None:
-        self.tree = tree
-        self._oracle = TreeDistanceOracle.from_tree(tree)
+        if isinstance(tree, NativeTree):
+            self._layout, self._tree, self._oracle = tree, None, None
+        else:
+            self._layout, self._tree = None, tree
+            self._oracle = TreeDistanceOracle.from_tree(tree)
+
+    @property
+    def tree(self):
+        """The object tree (materialized from a layout on first read)."""
+        if self._tree is None:
+            self._tree = self._layout.to_tree()
+        return self._tree
 
     @property
     def n(self) -> int:
-        return self._oracle.n
+        return self._layout.n if self._layout is not None else self._oracle.n
 
     def distance(self, u: int, v: int) -> int:
+        if self._layout is not None:
+            return self._layout.distance(u, v)
         return self._oracle.distance(u, v)
 
     def serve(self, u: int, v: int) -> ServeResult:
         """Route ``(u, v)``; a static network never adjusts."""
-        return ServeResult(self._oracle.distance(u, v), 0, 0)
+        return ServeResult(self.distance(u, v), 0, 0)
 
     def serve_trace(
         self,
@@ -51,20 +78,26 @@ class StaticTreeNetwork:
         *,
         record_series: bool = False,
     ) -> BatchServeResult:
-        """Serve a whole batch in one vectorized oracle query.
+        """Serve a whole batch in one distance query.
 
         Static trees never reconfigure, so the batched path is a single
-        O((m + n) log n) vectorized LCA/distance computation instead of m
-        scalar oracle calls.
+        kernel call on a layout (O(n + m · depth)), else one vectorized
+        O((m + n) log n) oracle LCA/distance computation, instead of m
+        scalar calls.
         """
         us, vs = as_request_arrays(sources, targets)
-        costs = self._oracle.distances(us, vs)
+        if self._layout is not None:
+            total, costs = self._layout.distances(us, vs, series=record_series)
+        else:
+            check_request_ids(us, vs, self._oracle.n)
+            costs = self._oracle.distances(us, vs)
+            total = int(costs.sum())
         routing_series = rotation_series = None
         if record_series:
-            routing_series = costs.astype(np.int64, copy=False)
+            routing_series = costs
             rotation_series = np.zeros(len(us), dtype=np.int64)
         return BatchServeResult(
-            len(us), int(costs.sum()), 0, 0, routing_series, rotation_series
+            len(us), total, 0, 0, routing_series, rotation_series
         )
 
     # ------------------------------------------------------------------
@@ -76,7 +109,8 @@ class StaticTreeNetwork:
         """No-op: a static network is always at its initial state."""
 
     def validate(self) -> None:
-        validate = getattr(self.tree, "validate", None)
+        tree = self._layout if self._layout is not None else self._tree
+        validate = getattr(tree, "validate", None)
         if validate is not None:
             validate()
 

@@ -34,20 +34,29 @@ Demand-derived inputs (dense demand, the boundary-crossing matrix, the
 short single-tree layers that are arity-independent) live in a
 :class:`~repro.optimal.context.DemandContext` shared across every arity
 of a sweep.  Reconstruction re-derives the argmins on the O(n) visited
-segments only (one NumPy argmin per segment), with exact integer
-equality.
+segments only, with exact integer equality, and also has two
+implementations that build the same tree:
+
+* the kernel's ``repro_dp_reconstruct``, which walks the native table
+  and wires the tree straight into a
+  :class:`~repro.core.native.NativeTree` layout, validated there by
+  ``repro_tree_validate``.  The result holds that layout and builds the
+  object tree only when a caller reads :attr:`OptimalTreeResult.tree`;
+* :func:`_build_tree` (one NumPy argmin per segment, then an object
+  :meth:`~repro.core.tree.KAryTreeNetwork.validate`), the path without
+  the kernel and the oracle of the native one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.core import _native
-from repro.core.keyspace import pad_values
+from repro.core.keyspace import MAX_K, pad_values
+from repro.core.native import NativeTree, precision_error
 from repro.core.node import KAryNode
 from repro.core.tree import KAryTreeNetwork
 from repro.errors import OptimizationError
@@ -56,20 +65,41 @@ from repro.optimal.context import INT_INF, DemandContext, demand_context
 __all__ = ["OptimalTreeResult", "optimal_static_cost_table", "optimal_static_tree"]
 
 
-@dataclass(frozen=True)
 class OptimalTreeResult:
-    """An optimal routing-based tree and its total distance."""
+    """An optimal routing-based tree and its total distance.
 
-    tree: KAryTreeNetwork
-    cost: int
+    ``layout`` is the tree as the kernel built it (a validated
+    :class:`~repro.core.native.NativeTree`), or ``None`` when it was built
+    as an object tree; :attr:`tree` is the object form, materialized from
+    the layout on first read.
+    """
+
+    __slots__ = ("cost", "layout", "_tree")
+
+    def __init__(
+        self,
+        tree: Optional[KAryTreeNetwork],
+        cost: int,
+        *,
+        layout: Optional[NativeTree] = None,
+    ) -> None:
+        self._tree = tree
+        self.cost = cost
+        self.layout = layout
+
+    @property
+    def tree(self) -> KAryTreeNetwork:
+        if self._tree is None:
+            self._tree = self.layout.to_tree()
+        return self._tree
 
     @property
     def n(self) -> int:
-        return self.tree.n
+        return self._tree.n if self.layout is None else self.layout.n
 
     @property
     def k(self) -> int:
-        return self.tree.k
+        return self._tree.k if self.layout is None else self.layout.k
 
 
 def _resolve_context(demand, context: Optional[DemandContext]) -> DemandContext:
@@ -108,12 +138,16 @@ def _forward(ctx: DemandContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     lib = _native.load_kernel()
     if lib is None:
         return _forward_numpy(ctx, k)
+    return _native_table(lib, ctx, k).transpose(0, 2, 1), ctx.w
+
+
+def _native_table(lib, ctx: DemandContext, k: int) -> np.ndarray:
+    """The native forward pass on a context: the raw ``[t, L, i]`` table."""
     n = ctx.n
     table = np.empty((k + 1, n + 1, n + 2), dtype=np.int64)
     _native_forward_into(lib, ctx.w, table)
-    b = table.transpose(0, 2, 1)
-    ctx.offer(k, b[1])
-    return b, ctx.w
+    ctx.offer(k, table.transpose(0, 2, 1)[1])
+    return table
 
 
 def _native_forward_into(lib, w: np.ndarray, table: np.ndarray) -> None:
@@ -306,6 +340,37 @@ def _build_tree(
     return node
 
 
+def _native_reconstruct(lib, w: np.ndarray, table: np.ndarray) -> NativeTree:
+    """Wire the optimal tree from a filled native table, in the kernel.
+
+    ``repro_dp_reconstruct`` follows :func:`_build_tree` step for step
+    (same tie-breaks, same exact mismatch check) on the buffers
+    :func:`_native_forward_into` has already checked; the layout is then
+    validated by ``repro_tree_validate``.
+    """
+    k, n = table.shape[0] - 1, table.shape[1] - 1
+    layout = NativeTree.empty(n, k, routing_based=True)
+    info = np.zeros(4, dtype=np.int64)
+    rc = lib.repro_dp_reconstruct(
+        layout.handle, w.ctypes.data, table.ctypes.data, int(INT_INF),
+        info.ctypes.data,
+    )
+    if rc == 2:
+        i, length, best, target = info.tolist()
+        raise OptimizationError(
+            f"reconstruction mismatch at segment ({i}, {length}):"
+            f" {best} != {target}"
+        )
+    if rc == 3:  # pragma: no cover - defensive, as in _partition
+        raise OptimizationError("partition backtrack failed")
+    if rc == 4:  # pragma: no cover - needs ~million-node trees
+        raise precision_error(int(info[0]))
+    if rc:  # pragma: no cover - n checked by the caller; malloc failure
+        raise OptimizationError(f"native DP reconstruction failed (code {rc})")
+    layout.validate()
+    return layout
+
+
 def optimal_static_tree(
     demand, k: int, *, context: Optional[DemandContext] = None
 ) -> OptimalTreeResult:
@@ -316,12 +381,21 @@ def optimal_static_tree(
     the kernel) and O(n²k) memory;
     ``context`` (default: the process-memoized one for this demand; an
     explicit one must be built from this demand) shares the
-    demand-derived inputs across the arities of a sweep.
+    demand-derived inputs across the arities of a sweep.  Where the kernel
+    loads (and ``k <= MAX_K``, the arity its layout holds) the tree is
+    reconstructed and validated there and the result holds its layout.
     """
     ctx = _resolve_context(demand, context)
     n = ctx.n
     if n < 1:
         raise OptimizationError("demand must cover at least one node")
+    if k < 2:
+        raise OptimizationError(f"arity k must be >= 2, got {k}")
+    lib = _native.load_kernel()
+    if lib is not None and k <= MAX_K:
+        table = _native_table(lib, ctx, k)
+        layout = _native_reconstruct(lib, ctx.w, table)
+        return OptimalTreeResult(None, int(table[1, n, 0]), layout=layout)
     b, w = _forward(ctx, k)
     import sys
 
@@ -332,4 +406,4 @@ def optimal_static_tree(
     finally:
         sys.setrecursionlimit(old_limit)
     tree = KAryTreeNetwork(k, root, validate=True, routing_based=True)
-    return OptimalTreeResult(tree=tree, cost=int(b[1, 0, n]))
+    return OptimalTreeResult(tree, int(b[1, 0, n]))

@@ -10,6 +10,15 @@ import pytest
 import repro.core.rotations as rotations_module
 
 
+def pytest_configure(config):
+    """Register the repository's own marks (no pytest config file holds them)."""
+    config.addinivalue_line(
+        "markers",
+        "slow: a long-running test (paper-scale generation, exhaustive"
+        " builder grids); runs in the tier-1 suite like any other",
+    )
+
+
 @pytest.fixture(scope="session", autouse=True)
 def isolated_results_dir(tmp_path_factory):
     """Point result files and the result cache at a session temp dir.
