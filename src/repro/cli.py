@@ -354,10 +354,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.nodes < 2:
         raise ReproError(f"--nodes must be >= 2, got {args.nodes}")
-    if args.batch_window < 0:
-        raise ReproError(
-            f"--batch-window must be >= 0, got {args.batch_window}"
-        )
     if args.batch_max < 1:
         raise ReproError(f"--batch-max must be >= 1, got {args.batch_max}")
     if args.max_respawns < 0:
@@ -396,7 +392,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             farm,
             host=args.host,
             port=args.port,
-            batch_window=args.batch_window,
             batch_max=args.batch_max,
             default_deadline=args.deadline or None,
             breaker=breaker,
@@ -430,7 +425,6 @@ def _cmd_bench_ingress(args: argparse.Namespace) -> int:
         shards=args.shards,
         zipf_alpha=args.zipf_alpha,
         seed=args.seed,
-        batch_window=args.batch_window,
         batch_max=args.batch_max,
         concurrency=args.concurrency,
     )
@@ -899,12 +893,9 @@ def build_parser() -> argparse.ArgumentParser:
              " degrading to object without the kernel)",
     )
     serve.add_argument(
-        "--batch-window", type=float, default=0.002,
-        help="micro-batch coalescing window per shard, seconds",
-    )
-    serve.add_argument(
         "--batch-max", type=int, default=256,
-        help="max requests coalesced into one farm dispatch",
+        help="max requests per farm dispatch: each shard sends at once"
+             " when idle and batches what queues while it is busy",
     )
     serve.add_argument(
         "--deadline", type=float, default=0.0,
@@ -994,10 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
     benchi.add_argument("--shards", type=int, default=2)
     benchi.add_argument("--zipf-alpha", type=float, default=1.2)
     benchi.add_argument("--seed", type=int, default=0)
-    benchi.add_argument(
-        "--batch-window", type=float, default=0.002,
-        help="micro-batch window for the batched socket leg, seconds",
-    )
     benchi.add_argument(
         "--batch-max", type=int, default=256,
         help="max requests per coalesced dispatch (batched leg)",

@@ -8,8 +8,10 @@ stream, exact cost-total cross-checks, wall-clock req/s):
   in-process :class:`~repro.serving.farm.ServeFarm` versus through
   :class:`~repro.ingress.IngressServer` over a UNIX socket;
 * **what does micro-batching buy?** — the socket path with the server's
-  coalescing window enabled versus forced batch-size-1 dispatch (every
-  request its own farm pipe round trip);
+  batch-while-busy dispatch versus forced batch-size-1 dispatch (every
+  request its own farm pipe round trip); each socket leg records its farm
+  ``dispatches``, which fall below the request count whenever requests
+  coalesce;
 * **is it still exact?** — cost totals from every path must equal clean
   per-key :func:`~repro.net.session.open_session` runs
   (``totals_match``), since the gateway reorders *scheduling* but never
@@ -63,7 +65,6 @@ async def _socket_run(
     k: int,
     shards: int,
     *,
-    batch_window: float,
     batch_max: int,
     concurrency: int,
 ) -> dict:
@@ -72,7 +73,6 @@ async def _socket_run(
         server = IngressServer(
             farm,
             path=os.path.join(tmp, "ingress.sock"),
-            batch_window=batch_window,
             batch_max=batch_max,
         )
         await server.start()
@@ -90,8 +90,8 @@ async def _socket_run(
         "requests_per_second": len(stream) / elapsed if elapsed > 0 else 0.0,
         "latency_p50_seconds": latency.p50,
         "latency_p99_seconds": latency.p99,
-        "batch_window_seconds": batch_window,
         "batch_max": batch_max,
+        "dispatches": farm.metrics.windows,
         "totals": batch_totals(totals),
     }
 
@@ -105,7 +105,6 @@ def ingress_benchmark(
     shards: int = 2,
     zipf_alpha: float = 1.2,
     seed: int = 0,
-    batch_window: float = 0.002,
     batch_max: int = 256,
     concurrency: int = 256,
 ) -> dict:
@@ -113,10 +112,10 @@ def ingress_benchmark(
 
     Returns a JSON-serializable record with a ``direct`` (in-process
     farm) section and two socket sections — ``socket_batched`` (the
-    server's micro-batching window) and ``socket_unbatched``
+    server's micro-batching dispatch) and ``socket_unbatched``
     (``batch_max=1``: one farm round trip per request) — each with wall
-    req/s and client-observed p50/p99, plus ``totals_match`` against
-    clean per-key session runs and
+    req/s, client-observed p50/p99 and its farm ``dispatches``, plus
+    ``totals_match`` against clean per-key session runs and
     ``speedup_batched_over_unbatched``.
     """
     if m < 1:
@@ -135,7 +134,6 @@ def ingress_benchmark(
     batched = asyncio.run(
         _socket_run(
             stream, n, k, shards,
-            batch_window=batch_window,
             batch_max=batch_max,
             concurrency=concurrency,
         )
@@ -143,7 +141,6 @@ def ingress_benchmark(
     unbatched = asyncio.run(
         _socket_run(
             stream, n, k, shards,
-            batch_window=0.0,
             batch_max=1,
             concurrency=concurrency,
         )
@@ -159,7 +156,6 @@ def ingress_benchmark(
             "shards": shards,
             "zipf_alpha": zipf_alpha,
             "seed": seed,
-            "batch_window_seconds": batch_window,
             "batch_max": batch_max,
             "concurrency": concurrency,
         },

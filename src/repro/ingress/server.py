@@ -6,11 +6,14 @@ real inference gateway.  An asyncio accept loop feeds per-shard
 :class:`~repro.serving.farm.ServeFarm`; the interesting machinery is what
 sits between socket and farm:
 
-* **micro-batching** — requests for one shard arriving within
-  ``batch_window`` seconds (up to ``batch_max`` of them) coalesce into a
-  single worker round trip (:meth:`ServeFarm.serve_grouped`), amortizing
-  the Pipe latency that dominates request-at-a-time dispatch; each
-  client request still gets its own exact per-batch answer;
+* **micro-batching** — a shard's dispatcher batches *while busy*: it
+  sends a request to an idle shard at once, and the requests that queue
+  during that worker round trip (up to ``batch_max`` of them) go out
+  together in the next one (:meth:`ServeFarm.serve_grouped`).  Batch size
+  follows load, so the Pipe latency that dominates request-at-a-time
+  dispatch is amortized under load and a lone request is never held;
+  each client request still gets its own exact per-batch answer, and a
+  dispatch's answers to one connection leave in a single write;
 * **backpressure** — every shard has a bounded queue (``queue_depth``).
   A connection whose requests target a full queue is simply *not read*
   until the queue drains (the reader coroutine suspends on ``put``), so
@@ -25,7 +28,7 @@ sits between socket and farm:
   ``1..n`` is answered ``ERROR`` on its own: the farm refuses the whole
   coalesced dispatch before serving any of it
   (:class:`~repro.errors.RejectedRequestError` names the offending
-  frames), and the gateway dispatches the frame's window neighbours
+  frames), and the gateway dispatches the frame's batch neighbours
   again without it;
 * **circuit breakers** — one :class:`~repro.ingress.breaker.CircuitBreaker`
   per shard: consecutive dispatch failures or deadline misses trip it
@@ -77,7 +80,7 @@ __all__ = [
 #: Fired once per accepted connection, before the handshake.
 ACCEPT_FAULT_POINT = "ingress.accept"
 
-#: Fired once per shard micro-batch, before the farm round trip.
+#: Fired once per shard dispatch, before the farm round trip.
 DISPATCH_FAULT_POINT = "ingress.dispatch"
 
 #: Sentinel pushed through a shard queue to stop its dispatcher.
@@ -124,7 +127,6 @@ class IngressServer:
         host: str = "127.0.0.1",
         port: int = 0,
         path: Optional[str] = None,
-        batch_window: float = 0.002,
         batch_max: int = 256,
         queue_depth: int = 1024,
         max_inflight: int = 8192,
@@ -132,10 +134,6 @@ class IngressServer:
         close_farm: bool = True,
         breaker: Optional[BreakerConfig] = None,
     ) -> None:
-        if batch_window < 0:
-            raise ExperimentError(
-                f"batch_window must be >= 0, got {batch_window}"
-            )
         if batch_max < 1:
             raise ExperimentError(f"batch_max must be >= 1, got {batch_max}")
         if queue_depth < 1:
@@ -158,7 +156,6 @@ class IngressServer:
         self.host = host
         self.port = port
         self.path = path
-        self.batch_window = batch_window
         self.batch_max = batch_max
         self.queue_depth = queue_depth
         self.max_inflight = max_inflight
@@ -509,34 +506,30 @@ class IngressServer:
 
     # -- per-shard micro-batching dispatch -----------------------------
     async def _dispatch_loop(self, shard: int) -> None:
-        """Coalesce one shard's queue into micro-batches and serve them."""
-        loop = asyncio.get_running_loop()
+        """Serve one shard's queue: each dispatch takes the backlog.
+
+        The dispatcher waits only for the first request; whatever queued
+        behind it (up to ``batch_max``) rides along, and what arrives
+        during the round trip forms the next batch.
+        """
         queue = self._queues[shard]
-        stopping = False
-        while not stopping:
+        while True:
             item = await queue.get()
             if item is _STOP:
                 return
             batch = [item]
-            window_ends = loop.time() + self.batch_window
-            while len(batch) < self.batch_max:
-                remaining = window_ends - loop.time()
-                if remaining <= 0 and queue.empty():
-                    break
-                try:
-                    nxt = (
-                        queue.get_nowait()
-                        if remaining <= 0
-                        else await asyncio.wait_for(queue.get(), remaining)
-                    )
-                except (asyncio.TimeoutError, asyncio.QueueEmpty):
-                    break
-                if nxt is _STOP:
+            stopping = False
+            while len(batch) < self.batch_max and not queue.empty():
+                item = queue.get_nowait()
+                if item is _STOP:
                     stopping = True
                     break
-                batch.append(nxt)
+                batch.append(item)
             await self._dispatch_batch(shard, batch)
-        # Drain sentinel consumed mid-window: everything already answered.
+            if stopping:
+                # The drain sentinel sat behind this batch's requests:
+                # everything admitted is now answered.
+                return
 
     async def _dispatch_batch(
         self, shard: int, batch: list[_Pending]
@@ -570,7 +563,7 @@ class IngressServer:
                 results = await self._serve(shard, live)
             except RejectedRequestError as exc:
                 # The farm served nothing: answer the offending frames
-                # alone, then serve their window neighbours without them.
+                # alone, then serve their batch neighbours without them.
                 rejected = set(exc.entries)
                 for index in sorted(rejected):
                     await self._reject(live[index], exc, breaker)
@@ -595,12 +588,12 @@ class IngressServer:
             return
         # Invariant (no silent drops): every admitted request lands in
         # exactly one of served / overloaded / errors.
+        replies: dict[_Connection, list[bytes]] = {}
         for item, result in zip(live, results):
             self.inflight -= 1
             self.served += 1
             breaker.record_success()
-            await self._send(
-                item.conn,
+            replies.setdefault(item.conn, []).append(
                 protocol.encode_response(
                     item.request.request_id,
                     protocol.STATUS_OK,
@@ -610,8 +603,11 @@ class IngressServer:
                         result.total_rotations,
                         result.total_links_changed,
                     ),
-                ),
+                )
             )
+        # One write and one drain per connection per dispatch.
+        for conn, frames in replies.items():
+            await self._send(conn, b"".join(frames))
 
 
 async def _close_connection(conn: _Connection) -> None:

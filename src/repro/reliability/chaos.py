@@ -94,7 +94,6 @@ class ChaosConfig:
     zipf_alpha: float = 1.2
     seed: int = 0
     engine: Optional[str] = None
-    batch_window: float = 0.002
     batch_max: int = 64
     health_interval: float = 0.05
     suspect_after: float = 0.2
@@ -193,7 +192,6 @@ def _spawn_server(config: ChaosConfig, plan: FaultPlan) -> tuple:
         "-n", str(config.n),
         "-k", str(config.k),
         "--shards", str(config.shards),
-        "--batch-window", str(config.batch_window),
         "--batch-max", str(config.batch_max),
         "--health-interval", str(config.health_interval),
         "--suspect-after", str(config.suspect_after),

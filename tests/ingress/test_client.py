@@ -380,7 +380,7 @@ class TestAsyncClient:
 
         async def run():
             server = IngressServer(
-                StubFarm(), port=0, batch_window=0.0, batch_max=1
+                StubFarm(), port=0, batch_max=1
             )
             await server.start()
             host, port = server.address

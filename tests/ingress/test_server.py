@@ -64,10 +64,12 @@ class _StubFarm:
         self.router = ShardRouter(shards)
         self.metrics = FarmMetrics()
         self.gate = gate  # serve_grouped blocks on this when set
+        self.entered = 0  # serve_grouped calls begun, gated or not
         self.calls: list[list] = []
         self.closed = False
 
     def serve_grouped(self, shard, batches):
+        self.entered += 1
         if self.gate is not None:
             assert self.gate.wait(timeout=30), "stub farm gate never opened"
         self.calls.append(list(batches))
@@ -78,6 +80,29 @@ class _StubFarm:
 
     def close(self):
         self.closed = True
+
+
+async def _until(predicate, timeout: float = 10.0) -> None:
+    """Poll ``predicate`` on the running loop until it holds."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+def _frame_count(data: bytes) -> int:
+    """How many length-prefixed frames ``data`` holds back to back."""
+    from repro.ingress import protocol
+
+    count = 0
+    while data:
+        length = protocol.decode_frame_length(
+            data[: protocol.FRAME_HEADER_SIZE]
+        )
+        data = data[protocol.FRAME_HEADER_SIZE + length :]
+        count += 1
+    return count
 
 
 class TestEndToEndExactness:
@@ -130,46 +155,59 @@ class TestEndToEndExactness:
         assert server.inflight == 0
 
     def test_micro_batching_coalesces_pipe_round_trips(self, tmp_path):
-        """Many concurrent requests on one shard must collapse into far
-        fewer farm dispatches than requests — the whole point of the
-        gateway's coalescing window."""
+        """Requests that queue while the shard is busy must collapse into
+        far fewer farm dispatches than requests — the dispatcher takes
+        the whole backlog behind the round trip in flight."""
         n, m = 16, 60
+        gate = threading.Event()
 
         async def run():
             farm = ServeFarm("kary-splaynet", n=n, k=2, shards=1)
+            serve_grouped = farm.serve_grouped
+
+            def gated(shard, batches):
+                assert gate.wait(timeout=30), "farm gate never opened"
+                return serve_grouped(shard, batches)
+
+            farm.serve_grouped = gated
             server = IngressServer(
-                farm,
-                path=str(tmp_path / "ingress.sock"),
-                batch_window=0.05,
-                batch_max=256,
+                farm, path=str(tmp_path / "ingress.sock"), batch_max=256
             )
             await server.start()
             try:
                 async with AsyncIngressClient(path=server.address) as client:
-                    await asyncio.gather(
-                        *(
+                    calls = [
+                        asyncio.ensure_future(
                             client.serve("key-0", 1 + i % n, 1 + (i + 7) % n)
-                            for i in range(m)
                         )
-                    )
+                        for i in range(m)
+                    ]
+                    # The first dispatch is held at the gate; everything
+                    # admitted after it queues behind that round trip.
+                    await _until(lambda: server.admitted == m)
+                    gate.set()
+                    results = await asyncio.gather(*calls)
                 windows = farm.metrics.windows
             finally:
+                gate.set()
                 await server.drain()
-            return windows
+            return windows, results
 
-        windows = asyncio.run(run())
-        # One pipe round trip per dispatched micro-batch; with 60
-        # requests in flight and a 50 ms window this must be far below
-        # one-round-trip-per-request (the batch-size-1 behaviour).
+        windows, results = asyncio.run(run())
+        assert len(results) == m
+        # One pipe round trip per dispatch: the held one, then the whole
+        # backlog in one more — far below one round trip per request
+        # (the batch-size-1 behaviour).
         assert windows < m / 2, f"{windows} dispatches for {m} requests"
-
+        assert windows <= 2
 
     def test_bad_frame_is_rejected_alone_in_its_window(self, tmp_path):
         """An out-of-range frame gets ERROR on its own; the good frame
-        coalesced into the same window is still served, exactly."""
+        coalesced into the same dispatch is still served, exactly."""
         from repro.errors import IngressError
 
         n = 16
+        gate = threading.Event()
 
         async def run():
             farm = ServeFarm("kary-splaynet", n=n, k=2, shards=1)
@@ -178,22 +216,30 @@ class TestEndToEndExactness:
 
             def recording(shard, batches):
                 calls.append([key for key, _, _ in batches])
+                assert gate.wait(timeout=30), "farm gate never opened"
                 return serve_grouped(shard, batches)
 
             farm.serve_grouped = recording
-            server = IngressServer(
-                farm, path=str(tmp_path / "ingress.sock"), batch_window=0.2
-            )
+            server = IngressServer(farm, path=str(tmp_path / "ingress.sock"))
             await server.start()
             try:
                 async with AsyncIngressClient(path=server.address) as client:
+                    hold = asyncio.ensure_future(client.serve("hold", 1, 2))
+                    await _until(lambda: calls == [["hold"]])
+                    # Both frames queue behind the held dispatch.
+                    pending = [
+                        asyncio.ensure_future(client.serve("good", 1, 9)),
+                        asyncio.ensure_future(client.serve("bad", 1, 99)),
+                    ]
+                    await _until(lambda: server.admitted == 3)
+                    gate.set()
+                    await hold
                     good, bad = await asyncio.gather(
-                        client.serve("good", 1, 9),
-                        client.serve("bad", 1, 99),
-                        return_exceptions=True,
+                        *pending, return_exceptions=True
                     )
                     metrics = await client.metrics()
             finally:
+                gate.set()
                 await server.drain()
             return good, bad, calls, metrics, server
 
@@ -206,11 +252,105 @@ class TestEndToEndExactness:
             clean.routing_cost,
             clean.rotations,
         )
-        # One window held both frames; the retry served the good one.
-        assert calls == [["good", "bad"], ["good"]]
-        assert (server.served, server.errors, server.inflight) == (1, 1, 0)
+        # One dispatch held both frames; the retry served the good one.
+        assert calls == [["hold"], ["good", "bad"], ["good"]]
+        assert (server.served, server.errors, server.inflight) == (2, 1, 0)
         assert server.admitted == server.served + server.errors
-        assert metrics["requests"] == 1
+        assert metrics["requests"] == 2
+
+
+class TestDispatch:
+    """Batch while busy: no timer, a bounded backlog cut, coalesced writes."""
+
+    def test_backlog_is_cut_at_batch_max_in_fifo_order(self):
+        """More than ``batch_max`` requests queued behind a held dispatch
+        go out in dispatches of at most ``batch_max``, in send order, and
+        are answered in send order."""
+        gate = threading.Event()
+        farm = _StubFarm(shards=1, gate=gate)
+        queued, cap = 10, 3
+
+        async def run():
+            server = IngressServer(farm, port=0, batch_max=cap)
+            await server.start()
+            host, port = server.address
+            answered: list[int] = []
+            try:
+                async with AsyncIngressClient(host, port) as client:
+                    hold = asyncio.ensure_future(client.serve("k", 1, 2))
+                    await _until(lambda: farm.entered == 1)
+                    calls = []
+                    for i in range(queued):
+                        call = asyncio.ensure_future(
+                            client.serve("k", 10 + i, 1)
+                        )
+                        call.add_done_callback(
+                            lambda _call, i=i: answered.append(i)
+                        )
+                        calls.append(call)
+                    await _until(lambda: server.admitted == 1 + queued)
+                    gate.set()
+                    await asyncio.gather(hold, *calls)
+            finally:
+                gate.set()
+                await server.drain()
+            return answered
+
+        answered = asyncio.run(run())
+        assert [len(call) for call in farm.calls] == [1, 3, 3, 3, 1]
+        assert [
+            int(sources[0])
+            for call in farm.calls[1:]
+            for _key, sources, _targets in call
+        ] == [10 + i for i in range(queued)]
+        assert answered == list(range(queued))
+
+    def test_replies_of_one_dispatch_leave_in_one_write(self):
+        """A dispatch's OK replies go to each connection in one write."""
+        gate = threading.Event()
+        farm = _StubFarm(shards=1, gate=gate)
+        writes: list[list[bytes]] = []
+
+        class CountingServer(IngressServer):
+            async def _handle_connection(self, reader, writer):
+                mine: list[bytes] = []
+                writes.append(mine)
+                write = writer.write
+
+                def counted(data):
+                    mine.append(bytes(data))
+                    write(data)
+
+                writer.write = counted
+                await super()._handle_connection(reader, writer)
+
+        async def run():
+            server = CountingServer(farm, port=0)
+            await server.start()
+            host, port = server.address
+            try:
+                async with AsyncIngressClient(host, port) as first:
+                    async with AsyncIngressClient(host, port) as second:
+                        hold = asyncio.ensure_future(first.serve("k", 1, 2))
+                        await _until(lambda: farm.entered == 1)
+                        calls = [
+                            asyncio.ensure_future(client.serve("k", 3, 4))
+                            for client in (first, second, first, second, first)
+                        ]
+                        await _until(lambda: server.admitted == 6)
+                        gate.set()
+                        await asyncio.gather(hold, *calls)
+            finally:
+                gate.set()
+                await server.drain()
+
+        asyncio.run(run())
+        assert [len(call) for call in farm.calls] == [1, 5]
+        # Handshake, the held reply, then one write for three replies;
+        # the second connection: handshake, then one write for two.
+        first, second = writes
+        assert [_frame_count(data) for data in first] == [1, 1, 3]
+        assert [_frame_count(data) for data in second] == [1, 2]
 
 
 class TestBackpressure:
@@ -226,7 +366,6 @@ class TestBackpressure:
             server = IngressServer(
                 farm,
                 port=0,
-                batch_window=0.0,
                 batch_max=1,
                 queue_depth=1,
             )
@@ -269,7 +408,6 @@ class TestBackpressure:
             server = IngressServer(
                 farm,
                 port=0,
-                batch_window=0.0,
                 batch_max=1,
                 queue_depth=64,
                 max_inflight=cap,
@@ -314,7 +452,7 @@ class TestBackpressure:
 
         async def run():
             server = IngressServer(
-                farm, port=0, batch_window=0.0, batch_max=1
+                farm, port=0, batch_max=1
             )
             await server.start()
             host, port = server.address
@@ -355,7 +493,7 @@ class TestDrain:
 
         async def run():
             server = IngressServer(
-                farm, port=0, batch_window=0.0, batch_max=1, queue_depth=64
+                farm, port=0, batch_max=1, queue_depth=64
             )
             await server.start()
             host, port = server.address
@@ -409,7 +547,6 @@ class TestValidation:
 
         farm = _StubFarm(shards=1)
         for kwargs in (
-            {"batch_window": -0.1},
             {"batch_max": 0},
             {"queue_depth": 0},
             {"max_inflight": 0},

@@ -174,7 +174,6 @@ class TestServeValidation:
             (["serve", "--port", "70000"], "--port must be in 0..65535"),
             (["serve", "--port", "-1"], "--port must be in 0..65535"),
             (["serve", "-n", "1"], "--nodes must be >= 2"),
-            (["serve", "--batch-window", "-0.5"], "--batch-window"),
             (["serve", "--batch-max", "0"], "--batch-max must be >= 1"),
         ],
     )
