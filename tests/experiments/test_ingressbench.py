@@ -14,4 +14,3 @@ def test_socket_legs_record_their_dispatches():
     # batch_max=1: one farm round trip per request.
     assert record["socket_unbatched"]["dispatches"] == m
     assert 1 <= record["socket_batched"]["dispatches"] <= m
-    assert "batch_window_seconds" not in record["config"]
