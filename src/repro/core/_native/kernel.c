@@ -6,7 +6,7 @@
  * (``repro.core.splaynet.KArySplayNet.serve`` -> ``splay_until`` ->
  * ``k_semi_splay`` / ``k_splay`` in ``repro.core.rotations``): the
  * epoch-stamped LCA walk, the k-semi-splay and k-splay rotation groups
- * with arithmetic subtree placement, and the routing/rotation/link cost
+ * as block moves over the nested run, and the routing/rotation/link cost
  * accounting.  It operates on the flat identifier-indexed layout of
  * ``repro.core.flat.FlatTree``, loaded into kernel-owned buffers by
  * ``repro.core.native.NativeTree``:
@@ -16,13 +16,16 @@
  *   routing[nid * (k - 1) + j]       double, sorted separators per node
  *   visit[nid], vdepth[nid]          int64 scratch for the LCA walk
  *
- * Arithmetic subtree placement: the separators of a child nest strictly
- * inside one slot interval of its parent, so in the merged separator run
- * of a rotation group the interval index of every hanging subtree follows
- * from slot positions alone.  With y in slot sy of x and z in slot sz of
- * y, a subtree at slot s of x has index s (+ 2(k-1) past sy), one at slot
- * t of y has sy + t (+ k-1 past sz), and one at slot r of z has
- * sy + sz + r.
+ * Rotations as block moves: the separators of a child nest strictly
+ * inside one slot interval of its parent, so the merged separator run of a
+ * rotation group is a concatenation of its rows, not a sorted merge.  With
+ * y in slot sy of x and z in slot sz of y it is x[:sy] ++ y[:sz] ++ z ++
+ * y[sz:] ++ x[sy:], and the merged child run (one subtree per merged
+ * interval) is x[:sy] ++ y[:sz] ++ z ++ y[sz+1:] ++ x[sy+1:]; a
+ * k-semi-splay nests y in x the same way.  Each new node then takes a
+ * contiguous block of both runs, less the blocks of the nodes it adopts,
+ * and one loop per new child row re-homes its children and counts the
+ * link churn.
  *
  * Besides serving batches, the handle answers the single operations the
  * networks need between serves: repro_tree_splay_until (depth, splay to a
@@ -108,20 +111,6 @@ typedef struct {
     int64_t lk; /* link churn of the request being served */
 } rk_ctx;
 
-/* Merge two sorted runs (separator values are globally distinct, so the
- * result equals Python's sorted(a + b)). */
-static void rk_merge2(const double *a, int64_t la, const double *b,
-                      int64_t lb, double *out)
-{
-    int64_t i = 0, j = 0, o = 0;
-    while (i < la && j < lb)
-        out[o++] = (a[i] < b[j]) ? a[i++] : b[j++];
-    while (i < la)
-        out[o++] = a[i++];
-    while (j < lb)
-        out[o++] = b[j++];
-}
-
 /* bisect_left over a sorted run; no element ever equals v (identifiers
  * are integers, separators never are). */
 static int64_t rk_count_less(const double *a, int64_t len, double v)
@@ -132,25 +121,93 @@ static int64_t rk_count_less(const double *a, int64_t len, double v)
     return i;
 }
 
+/* The serve path (from here to rk_serve_requests) copies rows of at most
+ * k elements.  GCC would turn those short copy loops into libc memcpy
+ * calls, which cost more than they move, so it is told not to here; other
+ * compilers keep their default. */
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize("no-tree-loop-distribute-patterns")
+#endif
+
+static inline void rk_copy_d(double *dst, const double *src, int64_t len)
+{
+    for (int64_t i = 0; i < len; i++)
+        dst[i] = src[i];
+}
+
+static inline void rk_copy_i(int64_t *dst, const int64_t *src, int64_t len)
+{
+    for (int64_t i = 0; i < len; i++)
+        dst[i] = src[i];
+}
+
+/* Write p's separator row from a merged run: slot t takes
+ * run[t + (k-1) * ((t >= a) + (t >= b))], i.e. the row skips a block of
+ * k - 1 separators at slot a and another at slot b (a = b skips 2(k-1)
+ * at once; a, b >= k - 1 skip nothing). */
+static inline void rk_sep_row(const rk_ctx *c, int64_t p, const double *run,
+                              int64_t a, int64_t b)
+{
+    const int64_t km1 = c->km1;
+    double *row = c->routing + p * km1;
+    for (int64_t t = 0; t < km1; t++)
+        row[t] = run[t + km1 * ((t >= a) + (t >= b))];
+}
+
+/* Write p's child row from a merged child run, the same way: slot a holds
+ * na and slot b holds nb (the rotated group's own links, whose parent and
+ * slot the caller has already set), the other slots take
+ * run[t + (k-1) * ((t > a) + (t > b))] (a, b >= k: no own links).  Every
+ * child in the row is re-homed; returns the link churn, two per child
+ * whose parent changes.  An empty slot re-homes the null entry 0 like a
+ * child (its churn masked, its parent and slot restored at the end): the
+ * loop then has no data-dependent branch, which on rotation-heavy traces
+ * is worth more than everything it writes. */
+static inline int64_t rk_child_row(const rk_ctx *c, int64_t p,
+                                   const int64_t *run, int64_t a, int64_t na,
+                                   int64_t b, int64_t nb)
+{
+    const int64_t k = c->k, km1 = c->km1;
+    int64_t *parent = c->parent, *pslot = c->pslot;
+    int64_t *row = c->children + p * k;
+    const int64_t parent0 = parent[0], pslot0 = pslot[0];
+    int64_t churn = 0;
+    for (int64_t t = 0; t < k; t++) {
+        const int64_t ch = (t == a) ? na
+                           : (t == b) ? nb
+                                      : run[t + km1 * ((t > a) + (t > b))];
+        row[t] = ch;
+        churn += 2 * ((ch != 0) & (parent[ch] != p));
+        parent[ch] = p;
+        pslot[ch] = t;
+    }
+    parent[0] = parent0;
+    pslot[0] = pslot0;
+    return churn;
+}
+
 /* k-semi-splay: promote y above its parent x (g = x's parent, may be 0).
  * Mirror of repro.core.rotations.k_semi_splay.  Returns g. */
 static int64_t rk_semi(rk_ctx *c, int64_t y, int64_t x, int64_t g)
 {
     const int64_t k = c->k, km1 = c->km1;
-    int64_t *parent = c->parent, *pslot = c->pslot, *children = c->children;
-    double *routing = c->routing;
+    int64_t *parent = c->parent, *pslot = c->pslot;
     const int64_t gslot = pslot[x];
     const int64_t sy = pslot[y];
 
+    /* Merged runs: separators x[:sy] ++ y ++ x[sy:], children
+     * x[:sy] ++ y ++ x[sy+1:] (one per merged interval).  Each row is
+     * copied whole at the offset of its kept part; what lands out of
+     * place falls inside y's span and is overwritten by y. */
     double merged[2 * RK_KM1_MAX];
-    rk_merge2(routing + x * km1, km1, routing + y * km1, km1, merged);
-    int64_t xrow[RK_MAX_K], yrow[RK_MAX_K];
-    memcpy(xrow, children + x * k, (size_t)k * sizeof(int64_t));
-    memcpy(yrow, children + y * k, (size_t)k * sizeof(int64_t));
-    int64_t *nxrow = children + x * k;
-    int64_t *nyrow = children + y * k;
-    memset(nxrow, 0, (size_t)k * sizeof(int64_t));
-    memset(nyrow, 0, (size_t)k * sizeof(int64_t));
+    int64_t run[2 * RK_MAX_K - 1];
+    rk_copy_d(merged, c->routing + x * km1, km1);
+    rk_copy_d(merged + km1, c->routing + x * km1, km1);
+    rk_copy_d(merged + sy, c->routing + y * km1, km1);
+    rk_copy_i(run, c->children + x * k, k);
+    rk_copy_i(run + km1, c->children + x * k, k);
+    rk_copy_i(run + sy, c->children + y * k, k);
 
     const int64_t pos_x = rk_count_less(merged, 2 * km1, (double)x);
     int64_t j;
@@ -168,93 +225,18 @@ static int64_t rk_semi(rk_ctx *c, int64_t y, int64_t x, int64_t g)
         j = lo;
     else if (j > hi)
         j = hi;
-    const int64_t jhi = j + km1;
 
-    memcpy(routing + x * km1, merged + j, (size_t)km1 * sizeof(double));
-    {
-        double *ry = routing + y * km1;
-        memcpy(ry, merged, (size_t)j * sizeof(double));
-        memcpy(ry + j, merged + jhi,
-               (size_t)(2 * km1 - jhi) * sizeof(double));
-    }
-    nyrow[j] = x;
+    /* x takes block j (intervals j .. j + k - 1); y keeps the rest, with
+     * x in slot j. */
     parent[x] = y;
     pslot[x] = j;
-    if (g)
-        c->lk += 2;
-
-    /* x's subtree below slot sy keeps merged index s, past it s + km1
-     * (slot sy held y); y's subtree at slot t has merged index sy + t. */
-    for (int64_t m = 0; m < sy; m++) {
-        const int64_t ch = xrow[m];
-        if (!ch)
-            continue;
-        if (m < j) {
-            nyrow[m] = ch;
-            parent[ch] = y;
-            pslot[ch] = m;
-            c->lk += 2;
-        } else if (m <= jhi) {
-            const int64_t slot = m - j;
-            nxrow[slot] = ch;
-            parent[ch] = x;
-            pslot[ch] = slot;
-        } else {
-            const int64_t slot = m - km1;
-            nyrow[slot] = ch;
-            parent[ch] = y;
-            pslot[ch] = slot;
-            c->lk += 2;
-        }
-    }
-    for (int64_t s = sy + 1; s < k; s++) {
-        const int64_t ch = xrow[s];
-        if (!ch)
-            continue;
-        const int64_t m = s + km1;
-        if (m < j) {
-            nyrow[m] = ch;
-            parent[ch] = y;
-            pslot[ch] = m;
-            c->lk += 2;
-        } else if (m <= jhi) {
-            const int64_t slot = m - j;
-            nxrow[slot] = ch;
-            parent[ch] = x;
-            pslot[ch] = slot;
-        } else {
-            const int64_t slot = m - km1;
-            nyrow[slot] = ch;
-            parent[ch] = y;
-            pslot[ch] = slot;
-            c->lk += 2;
-        }
-    }
-    for (int64_t t = 0; t < k; t++) {
-        const int64_t ch = yrow[t];
-        if (!ch)
-            continue;
-        const int64_t m = sy + t;
-        if (m < j) {
-            nyrow[m] = ch;
-            parent[ch] = y;
-            pslot[ch] = m;
-        } else if (m <= jhi) {
-            const int64_t slot = m - j;
-            nxrow[slot] = ch;
-            parent[ch] = x;
-            pslot[ch] = slot;
-            c->lk += 2;
-        } else {
-            const int64_t slot = m - km1;
-            nyrow[slot] = ch;
-            parent[ch] = y;
-            pslot[ch] = slot;
-        }
-    }
+    rk_sep_row(c, x, merged + j, km1, km1);
+    rk_sep_row(c, y, merged, j, km1);
+    c->lk += rk_child_row(c, x, run + j, k, 0, k, 0);
+    c->lk += rk_child_row(c, y, run, j, x, k, 0) + (g ? 2 : 0);
 
     if (g) {
-        children[g * k + gslot] = y;
+        c->children[g * k + gslot] = y;
         parent[y] = g;
         pslot[y] = gslot;
     } else {
@@ -271,271 +253,65 @@ static int64_t rk_semi(rk_ctx *c, int64_t y, int64_t x, int64_t g)
 static int64_t rk_splay(rk_ctx *c, int64_t z, int64_t y, int64_t x)
 {
     const int64_t k = c->k, km1 = c->km1, km2 = c->km2;
-    int64_t *parent = c->parent, *pslot = c->pslot, *children = c->children;
-    double *routing = c->routing;
+    int64_t *parent = c->parent, *pslot = c->pslot;
+    const double *rx = c->routing + x * km1, *ry = c->routing + y * km1;
+    const int64_t *cx = c->children + x * k, *cy = c->children + y * k;
     const int64_t grand = parent[x];
     const int64_t gslot = pslot[x];
     const int64_t sy = pslot[y];
     const int64_t sz = pslot[z];
 
-    double tmp[2 * RK_KM1_MAX];
+    /* Merged runs: separators x[:sy] ++ y[:sz] ++ z ++ y[sz:] ++ x[sy:],
+     * children x[:sy] ++ y[:sz] ++ z ++ y[sz+1:] ++ x[sy+1:].  As in
+     * rk_semi, rows are copied whole: x's misplaced parts fall inside
+     * y's span, y's inside z's, and the later copies overwrite them. */
     double merged[3 * RK_KM1_MAX];
-    rk_merge2(routing + x * km1, km1, routing + y * km1, km1, tmp);
-    rk_merge2(tmp, 2 * km1, routing + z * km1, km1, merged);
-    int64_t xrow[RK_MAX_K], yrow[RK_MAX_K], zrow[RK_MAX_K];
-    memcpy(xrow, children + x * k, (size_t)k * sizeof(int64_t));
-    memcpy(yrow, children + y * k, (size_t)k * sizeof(int64_t));
-    memcpy(zrow, children + z * k, (size_t)k * sizeof(int64_t));
-    int64_t *nxrow = children + x * k;
-    int64_t *nyrow = children + y * k;
-    int64_t *nzrow = children + z * k;
-    memset(nxrow, 0, (size_t)k * sizeof(int64_t));
-    memset(nyrow, 0, (size_t)k * sizeof(int64_t));
-    memset(nzrow, 0, (size_t)k * sizeof(int64_t));
+    int64_t run[3 * RK_KM1_MAX + 1];
+    rk_copy_d(merged, rx, km1);
+    rk_copy_d(merged + km2, rx, km1);
+    rk_copy_d(merged + sy, ry, km1);
+    rk_copy_d(merged + sy + km1, ry, km1);
+    rk_copy_d(merged + sy + sz, c->routing + z * km1, km1);
+    rk_copy_i(run, cx, k);
+    rk_copy_i(run + km2, cx, k);
+    rk_copy_i(run + sy, cy, k);
+    rk_copy_i(run + sy + km1, cy, k);
+    rk_copy_i(run + sy + sz, c->children + z * k, k);
 
     const int64_t pos_x = rk_count_less(merged, 3 * km1, (double)x);
     const int64_t pos_y = rk_count_less(merged, 3 * km1, (double)y);
     const int64_t diff = pos_x - pos_y;
 
     if (diff > km1 || -diff > km1) {
-        /* ---- Case 1 (zig-zag analogue): x and y become children of z. */
-        int64_t lo_node, pos_lo, hi_node, pos_hi;
-        int64_t *lo_nrow, *hi_nrow;
-        int64_t x_lo_flip, x_hi_flip, y_lo_flip, y_hi_flip;
-        if (diff < 0) {
-            lo_node = x;
-            pos_lo = pos_x;
-            hi_node = y;
-            pos_hi = pos_y;
-            lo_nrow = nxrow;
-            hi_nrow = nyrow;
-            x_lo_flip = 0;
-            x_hi_flip = 2;
-            y_lo_flip = 2;
-            y_hi_flip = 0;
-        } else {
-            lo_node = y;
-            pos_lo = pos_y;
-            hi_node = x;
-            pos_hi = pos_x;
-            lo_nrow = nyrow;
-            hi_nrow = nxrow;
-            x_lo_flip = 2;
-            x_hi_flip = 0;
-            y_lo_flip = 0;
-            y_hi_flip = 2;
-        }
+        /* ---- Case 1 (zig-zag analogue): x and y become children of z,
+         * each taking a block; z keeps the rest, with them in its slots
+         * j_lo and j_hi - (k - 1). */
+        const int64_t lo_node = (diff < 0) ? x : y;
+        const int64_t hi_node = (diff < 0) ? y : x;
+        const int64_t pos_lo = (diff < 0) ? pos_x : pos_y;
+        const int64_t pos_hi = (diff < 0) ? pos_y : pos_x;
         int64_t j_lo = pos_lo - km1;
         if (j_lo < 0)
             j_lo = 0;
         int64_t j_hi = km2;
         if (pos_hi < j_hi)
             j_hi = pos_hi;
-        const int64_t j_lo_hi = j_lo + km1;
-        const int64_t j_hi_hi = j_hi + km1;
 
-        memcpy(routing + lo_node * km1, merged + j_lo,
-               (size_t)km1 * sizeof(double));
-        memcpy(routing + hi_node * km1, merged + j_hi,
-               (size_t)km1 * sizeof(double));
-        {
-            double *rz = routing + z * km1;
-            memcpy(rz, merged, (size_t)j_lo * sizeof(double));
-            memcpy(rz + j_lo, merged + j_lo_hi,
-                   (size_t)(j_hi - j_lo_hi) * sizeof(double));
-            memcpy(rz + j_lo + (j_hi - j_lo_hi), merged + j_hi_hi,
-                   (size_t)(3 * km1 - j_hi_hi) * sizeof(double));
-        }
-        nzrow[j_lo] = lo_node;
         parent[lo_node] = z;
         pslot[lo_node] = j_lo;
-        nzrow[j_hi - km1] = hi_node;
         parent[hi_node] = z;
         pslot[hi_node] = j_hi - km1;
-        c->lk += 2;
-
-        for (int64_t s = 0; s < sy; s++) {
-            const int64_t ch = xrow[s];
-            if (!ch)
-                continue;
-            const int64_t m = s;
-            if (m < j_lo) {
-                nzrow[m] = ch;
-                parent[ch] = z;
-                pslot[ch] = m;
-                c->lk += 2;
-            } else if (m <= j_lo_hi) {
-                const int64_t slot = m - j_lo;
-                lo_nrow[slot] = ch;
-                parent[ch] = lo_node;
-                pslot[ch] = slot;
-                c->lk += x_lo_flip;
-            } else if (m < j_hi) {
-                const int64_t slot = m - km1;
-                nzrow[slot] = ch;
-                parent[ch] = z;
-                pslot[ch] = slot;
-                c->lk += 2;
-            } else if (m <= j_hi_hi) {
-                const int64_t slot = m - j_hi;
-                hi_nrow[slot] = ch;
-                parent[ch] = hi_node;
-                pslot[ch] = slot;
-                c->lk += x_hi_flip;
-            } else {
-                const int64_t slot = m - km2;
-                nzrow[slot] = ch;
-                parent[ch] = z;
-                pslot[ch] = slot;
-                c->lk += 2;
-            }
-        }
-        for (int64_t s = sy + 1; s < k; s++) {
-            const int64_t ch = xrow[s];
-            if (!ch)
-                continue;
-            const int64_t m = s + km2;
-            if (m < j_lo) {
-                nzrow[m] = ch;
-                parent[ch] = z;
-                pslot[ch] = m;
-                c->lk += 2;
-            } else if (m <= j_lo_hi) {
-                const int64_t slot = m - j_lo;
-                lo_nrow[slot] = ch;
-                parent[ch] = lo_node;
-                pslot[ch] = slot;
-                c->lk += x_lo_flip;
-            } else if (m < j_hi) {
-                const int64_t slot = m - km1;
-                nzrow[slot] = ch;
-                parent[ch] = z;
-                pslot[ch] = slot;
-                c->lk += 2;
-            } else if (m <= j_hi_hi) {
-                const int64_t slot = m - j_hi;
-                hi_nrow[slot] = ch;
-                parent[ch] = hi_node;
-                pslot[ch] = slot;
-                c->lk += x_hi_flip;
-            } else {
-                const int64_t slot = m - km2;
-                nzrow[slot] = ch;
-                parent[ch] = z;
-                pslot[ch] = slot;
-                c->lk += 2;
-            }
-        }
-        for (int64_t t = 0; t < sz; t++) {
-            const int64_t ch = yrow[t];
-            if (!ch)
-                continue;
-            const int64_t m = sy + t;
-            if (m < j_lo) {
-                nzrow[m] = ch;
-                parent[ch] = z;
-                pslot[ch] = m;
-                c->lk += 2;
-            } else if (m <= j_lo_hi) {
-                const int64_t slot = m - j_lo;
-                lo_nrow[slot] = ch;
-                parent[ch] = lo_node;
-                pslot[ch] = slot;
-                c->lk += y_lo_flip;
-            } else if (m < j_hi) {
-                const int64_t slot = m - km1;
-                nzrow[slot] = ch;
-                parent[ch] = z;
-                pslot[ch] = slot;
-                c->lk += 2;
-            } else if (m <= j_hi_hi) {
-                const int64_t slot = m - j_hi;
-                hi_nrow[slot] = ch;
-                parent[ch] = hi_node;
-                pslot[ch] = slot;
-                c->lk += y_hi_flip;
-            } else {
-                const int64_t slot = m - km2;
-                nzrow[slot] = ch;
-                parent[ch] = z;
-                pslot[ch] = slot;
-                c->lk += 2;
-            }
-        }
-        for (int64_t t = sz + 1; t < k; t++) {
-            const int64_t ch = yrow[t];
-            if (!ch)
-                continue;
-            const int64_t m = sy + t + km1;
-            if (m < j_lo) {
-                nzrow[m] = ch;
-                parent[ch] = z;
-                pslot[ch] = m;
-                c->lk += 2;
-            } else if (m <= j_lo_hi) {
-                const int64_t slot = m - j_lo;
-                lo_nrow[slot] = ch;
-                parent[ch] = lo_node;
-                pslot[ch] = slot;
-                c->lk += y_lo_flip;
-            } else if (m < j_hi) {
-                const int64_t slot = m - km1;
-                nzrow[slot] = ch;
-                parent[ch] = z;
-                pslot[ch] = slot;
-                c->lk += 2;
-            } else if (m <= j_hi_hi) {
-                const int64_t slot = m - j_hi;
-                hi_nrow[slot] = ch;
-                parent[ch] = hi_node;
-                pslot[ch] = slot;
-                c->lk += y_hi_flip;
-            } else {
-                const int64_t slot = m - km2;
-                nzrow[slot] = ch;
-                parent[ch] = z;
-                pslot[ch] = slot;
-                c->lk += 2;
-            }
-        }
-        {
-            const int64_t base = sy + sz;
-            for (int64_t r = 0; r < k; r++) {
-                const int64_t ch = zrow[r];
-                if (!ch)
-                    continue;
-                const int64_t m = base + r;
-                if (m < j_lo) {
-                    nzrow[m] = ch;
-                    parent[ch] = z;
-                    pslot[ch] = m;
-                } else if (m <= j_lo_hi) {
-                    const int64_t slot = m - j_lo;
-                    lo_nrow[slot] = ch;
-                    parent[ch] = lo_node;
-                    pslot[ch] = slot;
-                    c->lk += 2;
-                } else if (m < j_hi) {
-                    const int64_t slot = m - km1;
-                    nzrow[slot] = ch;
-                    parent[ch] = z;
-                    pslot[ch] = slot;
-                } else if (m <= j_hi_hi) {
-                    const int64_t slot = m - j_hi;
-                    hi_nrow[slot] = ch;
-                    parent[ch] = hi_node;
-                    pslot[ch] = slot;
-                    c->lk += 2;
-                } else {
-                    const int64_t slot = m - km2;
-                    nzrow[slot] = ch;
-                    parent[ch] = z;
-                    pslot[ch] = slot;
-                }
-            }
-        }
+        rk_sep_row(c, lo_node, merged + j_lo, km1, km1);
+        rk_sep_row(c, hi_node, merged + j_hi, km1, km1);
+        rk_sep_row(c, z, merged, j_lo, j_hi - km1);
+        c->lk += rk_child_row(c, lo_node, run + j_lo, k, 0, k, 0);
+        c->lk += rk_child_row(c, hi_node, run + j_hi, k, 0, k, 0);
+        c->lk += rk_child_row(c, z, run, j_lo, lo_node, j_hi - km1, hi_node);
+        c->lk += 2; /* the x-y link becomes an x-z link */
     } else {
-        /* ---- Case 2 (zig-zig analogue): chain reversed to z -> y -> x. */
+        /* ---- Case 2 (zig-zig analogue): chain reversed to z -> y -> x.
+         * The pair run from j2 (2(k-1) separators, 2k - 1 children) goes
+         * to y and x; z keeps the rest, with y in slot j2. */
         int64_t lo_pos, hi_pos;
         if (diff < 0) {
             lo_pos = pos_x;
@@ -553,14 +329,7 @@ static int64_t rk_splay(rk_ctx *c, int64_t z, int64_t y, int64_t x)
             j2 = j2_lo;
         else if (j2 > j2_hi)
             j2 = j2_hi;
-        const int64_t j2hi = j2 + km2;
 
-        {
-            double *rz = routing + z * km1;
-            memcpy(rz, merged, (size_t)j2 * sizeof(double));
-            memcpy(rz + j2, merged + j2hi,
-                   (size_t)(3 * km1 - j2hi) * sizeof(double));
-        }
         const int64_t pos_x2 = pos_x - j2;
         int64_t j1;
         if (c->pol_center)
@@ -577,211 +346,21 @@ static int64_t rk_splay(rk_ctx *c, int64_t z, int64_t y, int64_t x)
             j1 = lo;
         else if (j1 > hi)
             j1 = hi;
-        const int64_t j1hi = j1 + km1;
-        const int64_t a1 = j2 + j1;
-        const int64_t a2 = a1 + km1;
-        memcpy(routing + x * km1, merged + a1, (size_t)km1 * sizeof(double));
-        {
-            double *ry = routing + y * km1;
-            memcpy(ry, merged + j2, (size_t)j1 * sizeof(double));
-            memcpy(ry + j1, merged + a2, (size_t)(j2hi - a2) * sizeof(double));
-        }
-        nzrow[j2] = y;
+
         parent[y] = z;
         pslot[y] = j2;
-        nyrow[j1] = x;
         parent[x] = y;
         pslot[x] = j1;
-
-        for (int64_t s = 0; s < sy; s++) {
-            const int64_t ch = xrow[s];
-            if (!ch)
-                continue;
-            const int64_t m = s;
-            if (m < j2) {
-                nzrow[m] = ch;
-                parent[ch] = z;
-                pslot[ch] = m;
-                c->lk += 2;
-            } else {
-                const int64_t m2 = m - j2;
-                if (m2 > km2) {
-                    const int64_t slot = m - km2;
-                    nzrow[slot] = ch;
-                    parent[ch] = z;
-                    pslot[ch] = slot;
-                    c->lk += 2;
-                } else if (m2 < j1) {
-                    nyrow[m2] = ch;
-                    parent[ch] = y;
-                    pslot[ch] = m2;
-                    c->lk += 2;
-                } else if (m2 <= j1hi) {
-                    const int64_t slot = m2 - j1;
-                    nxrow[slot] = ch;
-                    parent[ch] = x;
-                    pslot[ch] = slot;
-                } else {
-                    const int64_t slot = m2 - km1;
-                    nyrow[slot] = ch;
-                    parent[ch] = y;
-                    pslot[ch] = slot;
-                    c->lk += 2;
-                }
-            }
-        }
-        for (int64_t s = sy + 1; s < k; s++) {
-            const int64_t ch = xrow[s];
-            if (!ch)
-                continue;
-            const int64_t m = s + km2;
-            if (m < j2) {
-                nzrow[m] = ch;
-                parent[ch] = z;
-                pslot[ch] = m;
-                c->lk += 2;
-            } else {
-                const int64_t m2 = m - j2;
-                if (m2 > km2) {
-                    const int64_t slot = m - km2;
-                    nzrow[slot] = ch;
-                    parent[ch] = z;
-                    pslot[ch] = slot;
-                    c->lk += 2;
-                } else if (m2 < j1) {
-                    nyrow[m2] = ch;
-                    parent[ch] = y;
-                    pslot[ch] = m2;
-                    c->lk += 2;
-                } else if (m2 <= j1hi) {
-                    const int64_t slot = m2 - j1;
-                    nxrow[slot] = ch;
-                    parent[ch] = x;
-                    pslot[ch] = slot;
-                } else {
-                    const int64_t slot = m2 - km1;
-                    nyrow[slot] = ch;
-                    parent[ch] = y;
-                    pslot[ch] = slot;
-                    c->lk += 2;
-                }
-            }
-        }
-        for (int64_t t = 0; t < sz; t++) {
-            const int64_t ch = yrow[t];
-            if (!ch)
-                continue;
-            const int64_t m = sy + t;
-            if (m < j2) {
-                nzrow[m] = ch;
-                parent[ch] = z;
-                pslot[ch] = m;
-                c->lk += 2;
-            } else {
-                const int64_t m2 = m - j2;
-                if (m2 > km2) {
-                    const int64_t slot = m - km2;
-                    nzrow[slot] = ch;
-                    parent[ch] = z;
-                    pslot[ch] = slot;
-                    c->lk += 2;
-                } else if (m2 < j1) {
-                    nyrow[m2] = ch;
-                    parent[ch] = y;
-                    pslot[ch] = m2;
-                } else if (m2 <= j1hi) {
-                    const int64_t slot = m2 - j1;
-                    nxrow[slot] = ch;
-                    parent[ch] = x;
-                    pslot[ch] = slot;
-                    c->lk += 2;
-                } else {
-                    const int64_t slot = m2 - km1;
-                    nyrow[slot] = ch;
-                    parent[ch] = y;
-                    pslot[ch] = slot;
-                }
-            }
-        }
-        for (int64_t t = sz + 1; t < k; t++) {
-            const int64_t ch = yrow[t];
-            if (!ch)
-                continue;
-            const int64_t m = sy + t + km1;
-            if (m < j2) {
-                nzrow[m] = ch;
-                parent[ch] = z;
-                pslot[ch] = m;
-                c->lk += 2;
-            } else {
-                const int64_t m2 = m - j2;
-                if (m2 > km2) {
-                    const int64_t slot = m - km2;
-                    nzrow[slot] = ch;
-                    parent[ch] = z;
-                    pslot[ch] = slot;
-                    c->lk += 2;
-                } else if (m2 < j1) {
-                    nyrow[m2] = ch;
-                    parent[ch] = y;
-                    pslot[ch] = m2;
-                } else if (m2 <= j1hi) {
-                    const int64_t slot = m2 - j1;
-                    nxrow[slot] = ch;
-                    parent[ch] = x;
-                    pslot[ch] = slot;
-                    c->lk += 2;
-                } else {
-                    const int64_t slot = m2 - km1;
-                    nyrow[slot] = ch;
-                    parent[ch] = y;
-                    pslot[ch] = slot;
-                }
-            }
-        }
-        {
-            const int64_t base = sy + sz;
-            for (int64_t r = 0; r < k; r++) {
-                const int64_t ch = zrow[r];
-                if (!ch)
-                    continue;
-                const int64_t m = base + r;
-                if (m < j2) {
-                    nzrow[m] = ch;
-                    parent[ch] = z;
-                    pslot[ch] = m;
-                } else {
-                    const int64_t m2 = m - j2;
-                    if (m2 > km2) {
-                        const int64_t slot = m - km2;
-                        nzrow[slot] = ch;
-                        parent[ch] = z;
-                        pslot[ch] = slot;
-                    } else if (m2 < j1) {
-                        nyrow[m2] = ch;
-                        parent[ch] = y;
-                        pslot[ch] = m2;
-                        c->lk += 2;
-                    } else if (m2 <= j1hi) {
-                        const int64_t slot = m2 - j1;
-                        nxrow[slot] = ch;
-                        parent[ch] = x;
-                        pslot[ch] = slot;
-                        c->lk += 2;
-                    } else {
-                        const int64_t slot = m2 - km1;
-                        nyrow[slot] = ch;
-                        parent[ch] = y;
-                        pslot[ch] = slot;
-                        c->lk += 2;
-                    }
-                }
-            }
-        }
+        rk_sep_row(c, x, merged + j2 + j1, km1, km1);
+        rk_sep_row(c, y, merged + j2, j1, km1);
+        rk_sep_row(c, z, merged, j2, j2);
+        c->lk += rk_child_row(c, x, run + j2 + j1, k, 0, k, 0);
+        c->lk += rk_child_row(c, y, run + j2, j1, x, k, 0);
+        c->lk += rk_child_row(c, z, run, j2, y, j2, y);
     }
 
     if (grand) {
-        children[grand * k + gslot] = z;
+        c->children[grand * k + gslot] = z;
         parent[z] = grand;
         pslot[z] = gslot;
         c->lk += 2;
@@ -904,6 +483,10 @@ static void rk_serve_requests(rk_ctx *c, int64_t *visit, int64_t *vdepth,
     totals[1] = total_rot;
     totals[2] = total_l;
 }
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
 
 /* Populate an rk_ctx from raw buffers; returns 0 when the arity is
  * outside the kernel's static scratch. */

@@ -318,6 +318,7 @@ def _parallel_outcomes(
         while pending or in_flight:
             # -- submit every ready chunk within the backpressure bound --
             now = time.monotonic()
+            refused: Optional[BrokenProcessPool] = None
             for _ in range(len(pending)):
                 if len(in_flight) >= max_pending:
                     break
@@ -330,8 +331,23 @@ def _parallel_outcomes(
                     if config.task_timeout is not None
                     else None
                 )
-                future = pool.submit(_run_chunk, fn, state.items)
+                try:
+                    future = pool.submit(_run_chunk, fn, state.items)
+                except BrokenProcessPool as exc:
+                    # A worker died since the last wait and the executor
+                    # now refuses work.  The chunk never ran: put it back
+                    # first in line and stop submitting.  The in-flight
+                    # futures fail with the same break, and the wait below
+                    # respawns and charges as for any crash.
+                    pending.appendleft(state)
+                    refused = exc
+                    break
                 in_flight[future] = (state, deadline)
+            if refused is not None and not in_flight:
+                # Nothing in flight surfaces the break and no chunk is to
+                # blame: rebuild the executor without charging one.
+                respawn(refused, "worker pool broke between chunks")
+                continue
             if not in_flight:
                 # Everything runnable is backing off: sleep to the soonest.
                 soonest = min(state.not_before for state in pending)

@@ -302,7 +302,14 @@ def _kill_and_observe(
     victim: int,
     config: ChaosConfig,
 ) -> dict[str, Any]:
-    """SIGKILL ``victim``'s worker; time detection and recovery via METRICS."""
+    """SIGKILL ``victim``'s worker; time detection and recovery via METRICS.
+
+    A round that does not recover within ``recovery_timeout`` records, as
+    ``last_seen``, the ``health``, ``recoveries`` and ``pid`` of the last
+    shard row it read: a shard left ``down`` (its respawn budget spent)
+    reads differently from one still recovering.  Recovered rounds record
+    ``last_seen: None``.
+    """
 
     def poll() -> Optional[dict]:
         try:
@@ -326,6 +333,7 @@ def _kill_and_observe(
     detected_at: Optional[float] = None
     recovered_at: Optional[float] = None
     new_pid: Optional[int] = None
+    last_seen: Optional[dict[str, Any]] = None
     deadline = killed_at + config.recovery_timeout
     while time.monotonic() < deadline:
         metrics = poll()
@@ -336,6 +344,9 @@ def _kill_and_observe(
         if row is None:
             time.sleep(0.005)
             continue
+        last_seen = {
+            name: row.get(name) for name in ("health", "recoveries", "pid")
+        }
         pid_changed = bool(row["pid"]) and row["pid"] != old_pid
         noticed = (
             row["health"] != "healthy"
@@ -364,6 +375,7 @@ def _kill_and_observe(
         "time_to_recover_seconds": (
             recovered_at - killed_at if recovered_at is not None else None
         ),
+        "last_seen": None if recovered_at is not None else last_seen,
     }
 
 

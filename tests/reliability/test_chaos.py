@@ -9,12 +9,16 @@ plus injected ingress/farm faults, gated on the end-state invariants.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import ReliabilityError
 from repro.reliability.chaos import (
     ChaosConfig,
     _keyed_lanes,
+    _kill_and_observe,
     _round_slice,
     _storm_plan,
     run_chaos,
@@ -78,6 +82,46 @@ class TestDeterminism:
         ]
 
 
+class TestRoundDiagnostics:
+    def test_unrecovered_round_keeps_the_last_shard_row(self):
+        """A shard that never comes back: the round record says how it
+        was last seen, so a failed soak shows a spent respawn budget
+        apart from a slow recovery."""
+        victim = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(60)"]
+        )
+
+        class NeverRecovers:
+            def __init__(self):
+                self.rows = iter(
+                    [{"shard": 1, "health": "healthy", "recoveries": 3,
+                      "pid": victim.pid},
+                     {"shard": 1, "health": "suspect", "recoveries": 3,
+                      "pid": victim.pid}]
+                )
+
+            def metrics(self):
+                row = next(self.rows, {"shard": 1, "health": "down",
+                                       "recoveries": 3, "pid": victim.pid})
+                return {"shards": [{"shard": 0, "health": "healthy",
+                                    "recoveries": 0, "pid": 1}, row]}
+
+        try:
+            record = _kill_and_observe(
+                NeverRecovers(), 1, ChaosConfig(recovery_timeout=0.2)
+            )
+        finally:
+            victim.kill()
+            victim.wait(timeout=10)
+        assert victim.returncode == -9  # the round's SIGKILL landed
+        assert record["recovered"] is False
+        assert record["new_pid"] is None
+        assert record["time_to_detect_seconds"] is not None
+        assert record["last_seen"] == {
+            "health": "down", "recoveries": 3, "pid": victim.pid
+        }
+
+
 class TestLiveSoak:
     def test_mini_soak_passes_all_invariants(self):
         """Every shard killed once under load; invariants hold at drain."""
@@ -109,3 +153,4 @@ class TestLiveSoak:
         assert report["mean_time_to_recover_seconds"] < 10.0
         for rnd in report["rounds"]:
             assert rnd["new_pid"] != rnd["old_pid"]
+            assert rnd["last_seen"] is None

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.errors import ExperimentError, FaultInjected, ReliabilityError
+from repro.parallel import pool as pool_module
 from repro.parallel.pool import (
     ParallelConfig,
     parallel_map,
@@ -88,6 +91,78 @@ class TestWorkerKillRecovery:
         config = ParallelConfig(jobs=2, retries=0)
         with pytest.raises(ExperimentError, match="failed after 1 attempt"):
             parallel_map(_double, list(range(8)), config=config)
+
+
+def _breaking_executor(monkeypatch, *, hold_first: bool) -> dict:
+    """Swap the pool's executor for an inline one that breaks once.
+
+    Chunks run at submit time.  The second submit of the run finds the
+    executor broken, as after a worker died between two submits: it
+    raises ``BrokenProcessPool``, and so does every later submit to that
+    executor.  With ``hold_first`` the first chunk's future stays pending
+    until the break and then fails with it, like a chunk in flight on the
+    dead pool.  Returns the counters the tests read.
+    """
+    log = {"executors": 0, "submits": 0}
+
+    class BreakingExecutor:
+        def __init__(self, max_workers):
+            log["executors"] += 1
+            self.broken = False
+            self.held: list[Future] = []
+
+        def submit(self, fn, *args):
+            log["submits"] += 1
+            if self.broken or log["submits"] == 2:
+                self.broken = True
+                for future in self.held:
+                    future.set_exception(BrokenProcessPool("worker died"))
+                self.held.clear()
+                raise BrokenProcessPool("executor is broken")
+            future: Future = Future()
+            if hold_first and log["submits"] == 1:
+                self.held.append(future)
+            else:
+                future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", BreakingExecutor)
+    return log
+
+
+class TestBrokenPoolOnSubmit:
+    """``submit`` itself raising ``BrokenProcessPool`` is a pool crash."""
+
+    def test_nothing_in_flight_respawns_without_charging(self, monkeypatch):
+        log = _breaking_executor(monkeypatch, hold_first=False)
+        config = ParallelConfig(jobs=2, max_pending=1, on_error="collect")
+        outcomes = parallel_map_outcomes(_double, list(range(4)), config=config)
+        assert [o.value for o in outcomes] == [0, 2, 4, 6]
+        assert [o.attempts for o in outcomes] == [1, 1, 1, 1]
+        assert log["executors"] == 2
+
+    def test_in_flight_chunk_surfaces_the_break_and_is_charged(
+        self, monkeypatch
+    ):
+        log = _breaking_executor(monkeypatch, hold_first=True)
+        config = ParallelConfig(
+            jobs=2, max_pending=2, on_error="collect", retries=1, backoff=0.0
+        )
+        outcomes = parallel_map_outcomes(_double, list(range(4)), config=config)
+        assert [o.value for o in outcomes] == [0, 2, 4, 6]
+        # Chunk 0 was in flight on the dead executor; chunk 1 was refused
+        # and never ran, so only chunk 0 pays an attempt.
+        assert [o.attempts for o in outcomes] == [2, 1, 1, 1]
+        assert log["executors"] == 2
+
+    def test_respawn_budget_still_applies(self, monkeypatch):
+        _breaking_executor(monkeypatch, hold_first=False)
+        config = ParallelConfig(jobs=2, max_pending=1, pool_respawns=0)
+        with pytest.raises(ReliabilityError, match="gave up after 0 respawn"):
+            parallel_map(_double, list(range(4)), config=config)
 
 
 class TestInjectedErrorRetry:
