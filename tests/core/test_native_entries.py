@@ -1,27 +1,35 @@
-"""The kernel's single-operation entries: ``repro_tree_splay_until`` and
-``repro_tree_lca``.
+"""The kernel's single-operation entries and rotation groups against the
+object engine.
 
-Three guarantees.  Per call, the native ``depth``/``lca``/``splay_until``/
+Four guarantees.  Per call, the native ``depth``/``lca``/``splay_until``/
 ``serve_semi``/``access`` equal the object engine on random trees for
-every arity class and block policy (a hypothesis differential).  Bad
-input — an identifier outside ``1..n``, ``stop == x``, a ``stop`` that is
-not a proper ancestor of ``x``, an unknown policy — returns a nonzero
-status and leaves the resident tree byte-identical.  And a native
+every arity class and block policy (a hypothesis differential).  Per
+request, a native serve equals the object engine's ``(routing, rotations,
+links)`` on random trees of up to 300 nodes for k up to ``MAX_K``, and
+the final layout matches byte for byte; single rotation steps hit the
+k-semi-splay and both k-splay cases (``rk_semi`` and ``rk_splay`` build
+each group's merged runs from the nested rows, so every case is pinned).
+Bad input — an identifier outside ``1..n``, ``stop == x``, a ``stop``
+that is not a proper ancestor of ``x``, an unknown policy — returns a
+nonzero status and leaves the resident tree byte-identical.  And a native
 ``CentroidSplayNet`` serves a whole trace without copying its trees out
 of the kernel once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.core import rotations
 from repro.core.centroid_splaynet import CentroidSplayNet
 from repro.core.engine import native_available
 from repro.core.flat import tree_signature
 from repro.core.keyspace import MAX_K
 from repro.core.native import NativeTree
-from repro.core.rotations import BLOCK_POLICIES
+from repro.core.rotations import BLOCK_POLICIES, splay_step
 from repro.core.splay import splay_until
 from repro.core.splaynet import KArySplayNet
 from repro.errors import EngineError, RotationError
@@ -36,6 +44,8 @@ pytestmark = pytest.mark.skipif(
 )
 
 OPS = ("depth", "lca", "splay_until", "serve_semi", "access", "serve")
+ARITIES = (2, 3, 4, 10, MAX_K)
+CASES = ("semi", "splay-distant", "splay-close")
 
 
 def _twins(n, k, policy, seed):
@@ -131,6 +141,102 @@ class TestDifferentialAgainstObject:
                 assert nat.serve(x, y or x) == obj.serve(x, y or x)
             assert flat.signature() == tree_signature(obj.tree)
         flat.validate()
+
+
+def _requests(n, m, seed):
+    """Uniform pairs mixed with pairs drawn from a small hot set, so that
+    both long climbs and repeated (adjacent) requests occur."""
+    rng = np.random.default_rng(seed)
+    hot = rng.integers(1, n + 1, size=max(2, n // 16))
+    sources = np.where(rng.random(m) < 0.5, rng.choice(hot, m),
+                       rng.integers(1, n + 1, m))
+    targets = np.where(rng.random(m) < 0.5, rng.choice(hot, m),
+                       rng.integers(1, n + 1, m))
+    return sources.tolist(), targets.tolist()
+
+
+@pytest.fixture
+def case_counts(monkeypatch):
+    """Count the object engine's rotation groups by case."""
+    counts: Counter = Counter()
+
+    def counting(case, fn):
+        def wrapped(*args, **kwargs):
+            counts[case] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(rotations, "k_semi_splay",
+                        counting("semi", rotations.k_semi_splay))
+    monkeypatch.setattr(rotations, "_k_splay_distant",
+                        counting("splay-distant", rotations._k_splay_distant))
+    monkeypatch.setattr(rotations, "_k_splay_close",
+                        counting("splay-close", rotations._k_splay_close))
+    return counts
+
+
+class TestServeDifferential:
+    @pytest.mark.parametrize("policy", BLOCK_POLICIES)
+    @pytest.mark.parametrize("k", ARITIES)
+    @settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        n=st.integers(min_value=2, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_every_request_matches_object(self, k, policy, n, seed):
+        obj, nat = _twins(n, k, policy, seed)
+        batched = _twins(n, k, policy, seed)[1]
+        sources, targets = _requests(n, 200, seed)
+        expected, links = [], 0
+        for i, (u, v) in enumerate(zip(sources, targets)):
+            want = obj.serve(u, v)
+            assert nat.serve(u, v) == want, (n, seed, i, u, v)
+            expected.append((want.routing_cost, want.rotations))
+            links += want.links_changed
+        batch = batched.serve_trace(sources, targets, record_series=True)
+        assert list(zip(batch.routing_series.tolist(),
+                        batch.rotation_series.tolist())) == expected
+        assert batch.total_links_changed == links
+        oracle = NativeTree.from_tree(obj.tree)
+        assert _raw_state(nat.flat) == _raw_state(oracle)
+        assert _raw_state(batched.flat) == _raw_state(oracle)
+        nat.flat.validate()
+
+
+class TestEachRotationCase:
+    """One step at a time on a fixed-seed tree: every step's depth, link
+    churn and resulting layout equal the object engine's, and each of the
+    three rotation cases occurs."""
+
+    @pytest.mark.parametrize("policy", BLOCK_POLICIES)
+    @pytest.mark.parametrize("k", ARITIES)
+    def test_single_steps_cover_every_case(self, k, policy, case_counts):
+        n, seed = 300, 2024 + k
+        obj, nat = _twins(n, k, policy, seed)
+        tree, flat = obj.tree, nat.flat
+        rng = np.random.default_rng(seed)
+        for x in rng.integers(1, n + 1, size=400).tolist():
+            node = tree.node(x)
+            if node.parent is None:
+                continue
+            # A third of the steps stop below the grandparent: a
+            # k-semi-splay inside the tree rather than at the root.
+            grand = node.parent.parent
+            stop = grand if grand is not None and rng.random() < 1 / 3 else None
+            depth = tree.depth(x)
+            outcome = splay_step(node, stop, policy=policy)
+            if outcome.new_top.parent is None:
+                tree.replace_root(outcome.new_top)
+            assert flat.splay_until(
+                x, stop.nid if stop else 0, policy=policy, max_rotations=1
+            ) == (depth, 1, outcome.links_changed), x
+            assert flat.signature() == tree_signature(tree), x
+        assert all(case_counts[case] for case in CASES), dict(case_counts)
 
 
 class TestKernelRefusesBadInput:
